@@ -229,29 +229,7 @@ pub fn classify_top(
 }
 
 /// Per-class share of the top set, of all content, and of all downloads
-/// (§5.1's 26 %/18 %/29 % etc.).
-pub fn class_shares(
-    dataset: &Dataset,
-    publishers: &[PublisherStats],
-    classified: &[Classified],
-    class: BusinessClass,
-) -> (f64, f64, f64) {
-    let total_downloads: u64 = dataset
-        .torrents
-        .iter()
-        .map(|t| t.observed_downloaders() as u64)
-        .sum();
-    class_shares_from(
-        publishers,
-        classified,
-        class,
-        dataset.torrent_count(),
-        total_downloads,
-    )
-}
-
-/// Core of [`class_shares`] over campaign-wide totals instead of a
-/// materialized dataset (shared with the streaming path).
+/// (§5.1's 26 %/18 %/29 % etc.), over campaign-wide totals.
 pub fn class_shares_from(
     publishers: &[PublisherStats],
     classified: &[Classified],
@@ -346,8 +324,14 @@ mod tests {
         assert_eq!(classified[0].url.as_deref(), Some("www.hot-pics.net"));
         assert!(classified[0].placements.contains(&UrlPlacement::Textbox));
         assert_eq!(classified[0].language.as_deref(), Some("es"));
-        let (of_top, content, downloads) =
-            class_shares(&ds, &pubs, &classified, BusinessClass::OtherWeb);
+        let downloads = ds.torrents.iter().map(|t| t.observed_downloaders() as u64).sum();
+        let (of_top, content, downloads) = class_shares_from(
+            &pubs,
+            &classified,
+            BusinessClass::OtherWeb,
+            ds.torrent_count(),
+            downloads,
+        );
         assert_eq!(of_top, 1.0);
         assert_eq!(content, 1.0);
         assert_eq!(downloads, 1.0);

@@ -1,6 +1,5 @@
 //! §4.1 / Figure 2: content-type distribution per publisher group.
 
-use btpub_crawler::Dataset;
 use btpub_sim::content::Category;
 
 use crate::fake::{Group, Groups};
@@ -30,19 +29,9 @@ impl CategoryDistribution {
     }
 }
 
-/// Computes Figure 2's distribution for one group.
-pub fn category_distribution(
-    dataset: &Dataset,
-    publishers: &[PublisherStats],
-    groups: &Groups,
-    group: Group,
-) -> CategoryDistribution {
-    category_distribution_with(|idx| dataset.torrents[idx].category, publishers, groups, group)
-}
-
-/// Core of [`category_distribution`], parameterized over where a torrent
-/// index resolves to its category: the materialized path reads the full
-/// record, the streaming path reads a one-byte-per-torrent column.
+/// Computes Figure 2's distribution for one group, parameterized over
+/// where a torrent index resolves to its category (the aggregator keeps
+/// a one-byte-per-torrent column).
 pub fn category_distribution_with(
     category_of: impl Fn(usize) -> Category,
     publishers: &[PublisherStats],
@@ -75,7 +64,7 @@ pub fn category_distribution_with(
 mod tests {
     use super::*;
     use crate::publishers::{aggregate_publishers, PublisherKey};
-    use btpub_crawler::TorrentRecord;
+    use btpub_crawler::{Dataset, TorrentRecord};
     use btpub_sim::{SimTime, TorrentId};
 
     fn rec(id: u32, user: &str, cat: Category) -> TorrentRecord {
@@ -117,14 +106,17 @@ mod tests {
         let pubs = aggregate_publishers(&ds);
         let mut groups = Groups::default();
         groups.top.push(PublisherKey::Username("a".into()));
-        let top = category_distribution(&ds, &pubs, &groups, Group::Top);
+        let dist = |group| {
+            category_distribution_with(|idx| ds.torrents[idx].category, &pubs, &groups, group)
+        };
+        let top = dist(Group::Top);
         assert_eq!(top.n, 3);
         assert!((top.share(Category::Movies) - 2.0 / 3.0).abs() < 1e-9);
         assert!((top.video_share() - 2.0 / 3.0).abs() < 1e-9);
-        let all = category_distribution(&ds, &pubs, &groups, Group::All);
+        let all = dist(Group::All);
         assert_eq!(all.n, 4);
         assert!((all.fractions.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        let fake = category_distribution(&ds, &pubs, &groups, Group::Fake);
+        let fake = dist(Group::Fake);
         assert_eq!(fake.n, 0);
         assert_eq!(fake.video_share(), 0.0);
     }

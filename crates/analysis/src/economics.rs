@@ -141,23 +141,9 @@ pub fn economics_rows(classified: &[Classified], reports: &[SiteReport]) -> Vec<
         .collect()
 }
 
-/// §6's hosting-provider income estimate: distinct publisher IPs seen at
-/// the provider × the monthly server price (the paper: OVH, 78–164
-/// servers, ≈300 €/month ⇒ 23.4–42.9 K €/month).
-pub fn hosting_income_estimate(
-    dataset: &btpub_crawler::Dataset,
-    db: &btpub_geodb::GeoDb,
-    provider: &str,
-    monthly_price_eur: f64,
-) -> (usize, f64) {
-    hosting_income_from(
-        &crate::isp::isp_footprint(dataset, db, provider),
-        monthly_price_eur,
-    )
-}
-
-/// Core of [`hosting_income_estimate`] over an already-computed footprint
-/// (shared with the streaming path).
+/// §6's hosting-provider income estimate from the provider's footprint:
+/// distinct publisher IPs seen at the provider × the monthly server price
+/// (the paper: OVH, 78–164 servers, ≈300 €/month ⇒ 23.4–42.9 K €/month).
 pub fn hosting_income_from(
     fp: &crate::isp::IspFootprint,
     monthly_price_eur: f64,
@@ -241,7 +227,8 @@ mod tests {
     fn hosting_income_counts_fake_providers_servers() {
         let eco = Ecosystem::generate(EcosystemConfig::tiny(123));
         let ds = run_crawl(&eco, &CrawlerConfig::default());
-        let (servers, income) = hosting_income_estimate(&ds, &eco.world.db, "tzulo", 300.0);
+        let footprint = crate::isp::isp_footprint(&ds, &eco.world.db, "tzulo");
+        let (servers, income) = hosting_income_from(&footprint, 300.0);
         assert_eq!(income, servers as f64 * 300.0);
     }
 }

@@ -359,22 +359,12 @@ pub fn assign_groups_from(
     groups
 }
 
-/// Content and download shares of a group, over the whole dataset
-/// (§3.3's "fake publishers are responsible for 30 % of content and 25 %
-/// of downloads"; Top: 37 % / 50 %).
-pub fn group_shares(dataset: &Dataset, publishers: &[PublisherStats], groups: &Groups, group: Group) -> (f64, f64) {
-    let total_downloads: u64 = dataset
-        .torrents
-        .iter()
-        .map(|t| t.observed_downloaders() as u64)
-        .sum();
-    group_shares_from(publishers, groups, group, dataset.torrent_count(), total_downloads)
-}
-
-/// Core of [`group_shares`] over campaign-wide totals instead of a
-/// materialized dataset. A member's torrent count and download total are
-/// already held in its [`PublisherStats`], so summing those per publisher
-/// is integer-identical to walking the member torrents one by one.
+/// Content and download shares of a group, over the campaign-wide
+/// totals (§3.3's "fake publishers are responsible for 30 % of content
+/// and 25 % of downloads"; Top: 37 % / 50 %). A member's torrent count
+/// and download total are already held in its [`PublisherStats`], so
+/// summing those per publisher is integer-identical to walking the
+/// member torrents one by one.
 pub fn group_shares_from(
     publishers: &[PublisherStats],
     groups: &Groups,
@@ -704,7 +694,8 @@ mod tests {
         ]);
         let pubs = aggregate_publishers(&d);
         let g = assign_groups(&d, &pubs, &db(), 1);
-        let (fc, fdl) = group_shares(&d, &pubs, &g, Group::Fake);
+        let downloads = d.torrents.iter().map(|t| t.observed_downloaders() as u64).sum();
+        let (fc, fdl) = group_shares_from(&pubs, &g, Group::Fake, d.torrent_count(), downloads);
         assert!((fc - 0.5).abs() < 1e-9);
         assert!((fdl - 0.5).abs() < 1e-9);
     }

@@ -22,7 +22,7 @@ use btpub_sim::{SimDuration, SimTime};
 use crate::fake::{Group, Groups};
 use crate::popularity::ALL_SAMPLE;
 use crate::publishers::PublisherStats;
-use crate::session::{default_offline_threshold, estimate_sessions};
+use crate::session::estimate_sessions;
 use crate::stats::{BoxStats, QuantileSketch};
 
 /// One publisher's Figure 4 metrics.
@@ -183,31 +183,10 @@ pub fn publisher_seeding_metrics(
 }
 
 /// Figure 4's three boxes for one group. The `All` group is a random
-/// 400-publisher sample, as in the paper.
-pub fn group_seeding_boxes(
-    dataset: &Dataset,
-    publishers: &[PublisherStats],
-    groups: &Groups,
-    group: Group,
-    sample_seed: u64,
-) -> Option<(BoxStats, BoxStats, BoxStats)> {
-    // Per-publisher session estimation is independent work over read-only
-    // records; fan it out (results come back in member order).
-    group_seeding_boxes_with(publishers, groups, group, sample_seed, |members| {
-        btpub_par::par_chunk_map("analysis.seeding", members, |p| {
-            publisher_seeding_metrics(dataset, p, default_offline_threshold())
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    })
-}
-
-/// Core of [`group_seeding_boxes`], parameterized over where the
-/// per-publisher metrics come from: the materialized path estimates them
-/// from the full dataset, the streaming path looks up accumulators built
-/// at ingest. Both feed the same [`QuantileSketch`]-backed boxes, exact
-/// below the sketch budget.
+/// 400-publisher sample, as in the paper. Parameterized over where the
+/// per-publisher metrics come from (the aggregator's per-threshold
+/// accumulators); they feed [`QuantileSketch`]-backed boxes, exact below
+/// the sketch budget.
 pub fn group_seeding_boxes_with(
     publishers: &[PublisherStats],
     groups: &Groups,
@@ -247,6 +226,7 @@ pub fn group_seeding_boxes_with(
 mod tests {
     use super::*;
     use crate::publishers::PublisherKey;
+    use crate::session::default_offline_threshold;
     use btpub_crawler::Sighting;
     use btpub_sim::content::Category;
     use btpub_sim::TorrentId;

@@ -1,23 +1,28 @@
-//! Streaming, memory-bounded analysis: every §3–§6 aggregate computed
-//! record by record, without ever materializing the campaign dataset.
+//! The analysis pipeline: every §3–§6 aggregate computed record by
+//! record, so a campaign never has to be materialized to be analysed.
+//! Both study drivers run it — the materialized one walks its dataset in
+//! order through [`StreamAggregator::ingest`], the streaming one folds
+//! digests as they leave a bounded channel.
 //!
 //! The pipeline is split in two: [`RecordDigest::reduce`] is a pure,
 //! order-free function of one record that consumes its heavy payload
 //! (sightings become per-threshold seeding sessions), and
 //! [`StreamAggregator::fold`] consumes digests in announcement order —
 //! exactly the order a materialized `Dataset::torrents` holds records —
-//! folding each into the same accumulator types the materialized
-//! pipeline uses internally
+//! folding each into the same accumulator types the batch functions use
+//! internally
 //! ([`Partial`], [`ClassAcc`], [`SeedAcc`], [`GroupSignals`],
 //! [`IspAgg`]). The heavy per-record payloads (sightings, observed
 //! downloader IPs, title/filename/textbox strings) are consumed at
 //! ingest and dropped; what survives is bounded by the publisher and ISP
 //! populations plus a one-byte-per-torrent category column.
 //!
-//! Because both drivers share the accumulator code and fold records in
-//! the same order, [`StreamAggregator::finish`] yields publishers,
-//! groups and classifications that are **byte-identical** to the
-//! materialized pipeline's — float summation order included.
+//! The batch functions (`aggregate_publishers`, `assign_groups`,
+//! `classify_top`, …) share the accumulator code and visit records in
+//! the same order, so [`StreamAggregator::finish`] yields publishers,
+//! groups and classifications **byte-identical** to theirs — float
+//! summation order included; the tests below hold the aggregator to
+//! that oracle.
 //!
 //! The one campaign-sized set — distinct downloader IPs across all
 //! swarms (Table 1's "#IP addresses") — goes through
@@ -96,13 +101,18 @@ pub struct RecordDigest {
 impl RecordDigest {
     /// Reduces one record. Pure and order-free by construction.
     pub fn reduce(mut rec: TorrentRecord) -> RecordDigest {
-        let sessions = rec.publisher_ip.is_some().then(|| {
-            SEEDING_THRESHOLDS_H
-                .map(|hours| torrent_sessions(&rec, SimDuration::from_hours(hours)))
-        });
+        let sessions = sessions_of(&rec);
         rec.sightings = Vec::new();
         RecordDigest { rec, sessions }
     }
+}
+
+/// The per-threshold seeding sessions of one record, present iff it has
+/// an identified publisher IP.
+fn sessions_of(rec: &TorrentRecord) -> Option<[IntervalSet; 3]> {
+    rec.publisher_ip.is_some().then(|| {
+        SEEDING_THRESHOLDS_H.map(|hours| torrent_sessions(rec, SimDuration::from_hours(hours)))
+    })
 }
 
 /// Total order on aggregation keys for byte-stable checkpoint output.
@@ -190,12 +200,12 @@ impl<'d> StreamAggregator<'d> {
         self.next_idx
     }
 
-    /// Folds the next record in. Records must arrive in announcement
-    /// order (convenience wrapper over [`RecordDigest::reduce`] +
-    /// [`Self::fold`]; the implicit torrent index is the arrival
-    /// position).
+    /// Folds the next record in, reduced from the borrow (its sightings
+    /// are read, never copied). Records must arrive in announcement
+    /// order; the implicit torrent index is the arrival position. Same
+    /// fold as [`Self::fold`] over [`RecordDigest::reduce`] of the record.
     pub fn ingest(&mut self, rec: &TorrentRecord) {
-        self.fold(&RecordDigest::reduce(rec.clone()));
+        self.fold_record(rec, sessions_of(rec).as_ref());
     }
 
     /// Folds the next digest in. Digests must be folded in announcement
@@ -204,7 +214,12 @@ impl<'d> StreamAggregator<'d> {
     /// order-free, a consumer receiving records out of order only ever
     /// buffers digests, never full records.
     pub fn fold(&mut self, digest: &RecordDigest) {
-        let rec = &digest.rec;
+        self.fold_record(&digest.rec, digest.sessions.as_ref());
+    }
+
+    /// The fold itself: `sessions` are the record's reduced seeding
+    /// sessions; nothing here reads `rec.sightings`.
+    fn fold_record(&mut self, rec: &TorrentRecord, sessions: Option<&[IntervalSet; 3]>) {
         let idx = self.next_idx;
         self.next_idx += 1;
         self.categories.push(rec.category);
@@ -237,10 +252,7 @@ impl<'d> StreamAggregator<'d> {
             let ip_acc = self.per_ip.entry(u32::from(ip)).or_default();
             ip_acc.torrents.push(idx);
             ip_acc.downloads += rec.observed_downloaders() as u64;
-            let sessions3 = digest
-                .sessions
-                .as_ref()
-                .expect("sessions reduced for every identified record");
+            let sessions3 = sessions.expect("sessions reduced for every identified record");
             for (i, sessions) in sessions3.iter().enumerate() {
                 if i == DEFAULT_THRESHOLD_IDX {
                     ip_acc.seeding.observe_sessions(sessions);

@@ -63,7 +63,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use btpub::experiments::{render_full_report, ReportData};
+use btpub::experiments::ReportData;
 use btpub::{CheckpointPolicy, Scale, Scenario, StreamOptions, StreamOutcome, StreamStudy, Study};
 use btpub_faults::FaultProfile;
 
@@ -362,9 +362,10 @@ fn main() {
 /// Runs one campaign end to end and renders its stdout chunk, plus the
 /// stderr campaign timeline when the flight recorder is armed.
 ///
-/// Both drivers funnel into one [`ReportData`] and one renderer
-/// ([`render_exp`]), so the materialized and streaming paths cannot
-/// disagree on a stdout byte without disagreeing on the data itself.
+/// Both drivers fold into the same aggregates, build one [`ReportData`]
+/// and share one renderer ([`render_exp`]), so the materialized and
+/// streaming paths cannot disagree on a stdout byte without disagreeing
+/// on the data itself.
 fn run_scenario(
     name: &str,
     scenario: &Scenario,
@@ -438,7 +439,7 @@ fn run_scenario(
                 btpub_crawler::campaign_timeline(&study.dataset, plan.as_ref())
             });
             let analyses = study.analyze();
-            (analyses.experiments().report_data(), timeline)
+            (analyses.experiments(), timeline)
         }
     };
     let mut out = String::new();
@@ -452,7 +453,7 @@ fn run_scenario(
 /// already-computed [`ReportData`].
 fn render_exp(out: &mut String, exp: Option<&str>, data: &ReportData) {
     match exp {
-        None | Some("all") => write!(out, "{}", render_full_report(data)).unwrap(),
+        None | Some("all") => write!(out, "{}", data.full_report()).unwrap(),
         Some("t1") => writeln!(out, "{:#?}", data.t1).unwrap(),
         Some("f1") => {
             let f = &data.f1;

@@ -9,9 +9,3 @@ pub fn tiny_study() -> &'static Study {
     static STUDY: OnceLock<Study> = OnceLock::new();
     STUDY.get_or_init(|| Study::run(&Scenario::pb10(Scale::tiny())))
 }
-
-/// A cached tiny mn08 study (IP-keyed analyses).
-pub fn tiny_mn08() -> &'static Study {
-    static STUDY: OnceLock<Study> = OnceLock::new();
-    STUDY.get_or_init(|| Study::run(&Scenario::mn08(Scale::tiny())))
-}

@@ -1,6 +1,7 @@
 //! Per-experiment reports: every table and figure of the paper,
-//! regenerated from a [`crate::Study`] and rendered beside the paper's
-//! published values.
+//! computed by [`report_data`] from the folded aggregates of either
+//! driver ([`crate::Study`] or [`crate::StreamStudy`]) and rendered
+//! beside the paper's published values.
 //!
 //! Absolute numbers are not expected to match — the substrate is a scaled
 //! simulation, not the 2010 Pirate Bay — but the *shape* (orderings,
@@ -10,26 +11,24 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use btpub_analysis::classify::{Classified, UrlPlacement};
-use btpub_analysis::content_type::{category_distribution, CategoryDistribution};
-use btpub_analysis::economics::{
-    economics_rows, hosting_income_estimate, site_reports, EconomicsRow,
-};
-use btpub_analysis::fake::{group_shares, mapping_stats, Group, Groups, MappingStats};
-use btpub_analysis::isp::{hosting_shares, isp_footprint, top_isps, IspFootprint, IspRow};
+use btpub_analysis::classify::{class_shares_from, UrlPlacement};
+use btpub_analysis::content_type::{category_distribution_with, CategoryDistribution};
+use btpub_analysis::economics::{economics_rows, hosting_income_from, site_reports, EconomicsRow};
+use btpub_analysis::fake::{group_shares_from, Group, MappingStats};
+use btpub_analysis::isp::{hosting_shares, IspFootprint, IspRow};
 use btpub_analysis::longitudinal::{longitudinal_rows, LongitudinalRow};
 use btpub_analysis::popularity::popularity_box;
-use btpub_analysis::publishers::PublisherStats;
-use btpub_analysis::seeding::{group_seeding_boxes, SeedingMetrics};
+use btpub_analysis::publishers::PublisherKey;
+use btpub_analysis::seeding::group_seeding_boxes_with;
 use btpub_analysis::session::{capture_probability, queries_needed};
 use btpub_analysis::skewness::{content_share_of_top, contribution_cdf, shares_of_top_k, CdfPoint};
 use btpub_analysis::stats::BoxStats;
-use btpub_analysis::streaming::SEEDING_THRESHOLDS_H;
-use btpub_geodb::GeoDb;
+use btpub_analysis::streaming::{StreamAnalyses, DEFAULT_THRESHOLD_IDX};
+use btpub_portal::Portal;
 use btpub_sim::profile::BusinessClass;
-use btpub_sim::{Ecosystem, Profile, SimDuration};
+use btpub_sim::Ecosystem;
 
-use crate::study::Analyses;
+use crate::scenario::Scenario;
 
 /// Paper-published reference values, for side-by-side reporting.
 pub mod paper {
@@ -55,11 +54,6 @@ pub mod paper {
     pub const APPENDIX_A: (u32, u32, u32) = (165, 50, 13);
     /// §6: OVH: 78–164 servers, ≈ 23.4–42.9 K €/month.
     pub const OVH_SERVERS: (usize, usize) = (78, 164);
-}
-
-/// Builder for all experiment outputs.
-pub struct Experiments<'b, 'a> {
-    analyses: &'b Analyses<'a>,
 }
 
 /// Table 1-style dataset summary.
@@ -162,246 +156,8 @@ pub struct ValidationReport {
     pub download_coverage: f64,
 }
 
-impl<'b, 'a> Experiments<'b, 'a> {
-    pub(crate) fn new(analyses: &'b Analyses<'a>) -> Self {
-        Experiments { analyses }
-    }
-
-    /// Table 1 row for this campaign.
-    pub fn t1_dataset(&self) -> DatasetSummary {
-        let _span = btpub_obs::span!("exp.t1");
-        let ds = &self.analyses.study.dataset;
-        DatasetSummary {
-            name: ds.name.clone(),
-            days: self.analyses.study.eco.config.duration.as_days(),
-            torrents_username: ds.username_identified_count(),
-            torrents_ip: ds.ip_identified_count(),
-            torrents_total: ds.torrent_count(),
-            ip_addresses: ds.distinct_ip_count(),
-        }
-    }
-
-    /// Figure 1.
-    pub fn fig1_skewness(&self) -> SkewnessReport {
-        let _span = btpub_obs::span!("exp.f1");
-        let a = self.analyses;
-        SkewnessReport {
-            cdf: contribution_cdf(&a.publishers),
-            share_top3pct: content_share_of_top(&a.publishers, 3.0),
-            top_k_shares: shares_of_top_k(&a.publishers, a.top_k),
-            top_k: a.top_k,
-        }
-    }
-
-    /// Table 2: top-10 ISPs.
-    pub fn t2_isps(&self) -> Vec<IspRow> {
-        let _span = btpub_obs::span!("exp.t2");
-        top_isps(
-            &self.analyses.study.dataset,
-            &self.analyses.study.eco.world.db,
-            10,
-        )
-    }
-
-    /// Table 3: OVH vs Comcast footprints.
-    pub fn t3_footprints(&self) -> (IspFootprint, IspFootprint) {
-        let _span = btpub_obs::span!("exp.t3");
-        let ds = &self.analyses.study.dataset;
-        let db = &self.analyses.study.eco.world.db;
-        (isp_footprint(ds, db, "OVH"), isp_footprint(ds, db, "Comcast"))
-    }
-
-    /// §3.3 mapping statistics.
-    pub fn s33_mapping(&self) -> MappingReport {
-        let _span = btpub_obs::span!("exp.s33");
-        let a = self.analyses;
-        let ds = &a.study.dataset;
-        let db = &a.study.eco.world.db;
-        mapping_report(
-            &a.publishers,
-            &a.groups,
-            db,
-            mapping_stats(ds, &a.publishers, db, a.top_k),
-            group_shares(ds, &a.publishers, &a.groups, Group::Fake),
-            group_shares(ds, &a.publishers, &a.groups, Group::Top),
-        )
-    }
-
-    /// Figure 2: per-group category distributions.
-    pub fn fig2_content_types(&self) -> Vec<(Group, CategoryDistribution)> {
-        let _span = btpub_obs::span!("exp.f2");
-        let a = self.analyses;
-        Group::ALL
-            .into_iter()
-            .map(|g| {
-                (
-                    g,
-                    category_distribution(&a.study.dataset, &a.publishers, &a.groups, g),
-                )
-            })
-            .collect()
-    }
-
-    /// Per-entity stats for the fake group (IP-keyed; see
-    /// [`btpub_analysis::fake::fake_ip_stats`]).
-    fn fake_stats(&self) -> Vec<btpub_analysis::publishers::PublisherStats> {
-        btpub_analysis::fake::fake_ip_stats(&self.analyses.study.dataset, &self.analyses.groups)
-    }
-
-    /// Figure 3: per-group popularity boxes. Popularity is keyed per
-    /// username for every group (the paper's Fake unit here is the 1030
-    /// throwaway accounts, which is what keeps the Fake box lowest).
-    pub fn fig3_popularity(&self) -> Vec<(Group, Option<BoxStats>)> {
-        let _span = btpub_obs::span!("exp.f3");
-        let a = self.analyses;
-        Group::ALL
-            .into_iter()
-            .map(|g| {
-                (
-                    g,
-                    popularity_box(&a.publishers, &a.groups, g, a.study.eco.config.seed),
-                )
-            })
-            .collect()
-    }
-
-    /// Figure 4: per-group seeding boxes. The Fake group is aggregated per
-    /// IP entity, as in the paper.
-    pub fn fig4_seeding(&self) -> Vec<(Group, Option<SeedingBoxes>)> {
-        let _span = btpub_obs::span!("exp.f4");
-        let a = self.analyses;
-        let fake_stats = self.fake_stats();
-        Group::ALL
-            .into_iter()
-            .map(|g| {
-                let stats: &[_] = if g == Group::Fake {
-                    &fake_stats
-                } else {
-                    &a.publishers
-                };
-                let boxes = group_seeding_boxes(
-                    &a.study.dataset,
-                    stats,
-                    &a.groups,
-                    g,
-                    a.study.eco.config.seed,
-                )
-                .map(|(seed_time, parallel, aggregated)| SeedingBoxes {
-                    seed_time,
-                    parallel,
-                    aggregated,
-                });
-                (g, boxes)
-            })
-            .collect()
-    }
-
-    /// §5.1 classification shares.
-    pub fn s51_classes(&self) -> ClassReport {
-        let _span = btpub_obs::span!("exp.s51");
-        let a = self.analyses;
-        class_report(&a.classified, |c| {
-            btpub_analysis::classify::class_shares(&a.study.dataset, &a.publishers, &a.classified, c)
-        })
-    }
-
-    /// Table 4.
-    pub fn t4_longitudinal(&self) -> Vec<LongitudinalRow> {
-        let _span = btpub_obs::span!("exp.t4");
-        let a = self.analyses;
-        let portal = a.portal();
-        longitudinal_rows(&portal, &a.classified, a.study.eco.config.horizon())
-    }
-
-    /// Table 5, reported at paper scale.
-    ///
-    /// Per-site traffic scales with both the per-swarm downloader counts
-    /// (`downloads_scale`) and the torrents-per-major-publisher ratio
-    /// (`torrents / majors`), so the correction undoes both.
-    pub fn t5_economics(&self) -> Vec<EconomicsRow> {
-        let _span = btpub_obs::span!("exp.t5");
-        let a = self.analyses;
-        let scale = a.study.scenario.scale;
-        let correction =
-            1.0 / a.study.eco.config.downloads_scale * (scale.majors / scale.torrents);
-        let reports = site_reports(&a.study.eco, &a.classified, correction);
-        economics_rows(&a.classified, &reports)
-    }
-
-    /// §6: hosting-provider income. Returns `(provider, servers, €/month)`
-    /// for OVH and the three fake-publisher providers.
-    pub fn s6_hosting_income(&self) -> Vec<(&'static str, usize, f64)> {
-        let _span = btpub_obs::span!("exp.s6");
-        let ds = &self.analyses.study.dataset;
-        let db = &self.analyses.study.eco.world.db;
-        hosting_income_rows(|p| hosting_income_estimate(ds, db, p, 300.0))
-    }
-
-    /// Appendix A: the model plus the 2 h / 4 h / 6 h robustness check.
-    pub fn aa_session_model(&self) -> AppendixAReport {
-        let _span = btpub_obs::span!("exp.aa");
-        let a = self.analyses;
-        appendix_a_report(&a.publishers, &a.groups, |p, i| {
-            btpub_analysis::seeding::publisher_seeding_metrics(
-                &a.study.dataset,
-                p,
-                SimDuration::from_hours(SEEDING_THRESHOLDS_H[i]),
-            )
-            .map(|m| m.aggregated_session_h)
-        })
-    }
-
-    /// V1: validation against ground truth (simulation-only superpower).
-    pub fn v1_validation(&self) -> ValidationReport {
-        let _span = btpub_obs::span!("exp.v1");
-        let a = self.analyses;
-        let ds = &a.study.dataset;
-        let eco = &a.study.eco;
-        let mut truth = TruthCounters::default();
-        for t in &ds.torrents {
-            truth.observe(t, eco);
-        }
-        validation_report(eco, ds.torrent_count(), &truth, &a.publishers, &a.groups, |p| {
-            btpub_analysis::seeding::publisher_seeding_metrics(
-                ds,
-                p,
-                btpub_analysis::session::default_offline_threshold(),
-            )
-        })
-    }
-
-    /// Computes every experiment once, as data.
-    pub fn report_data(&self) -> ReportData {
-        ReportData {
-            t1: self.t1_dataset(),
-            f1: self.fig1_skewness(),
-            t2: self.t2_isps(),
-            t3: self.t3_footprints(),
-            s33: self.s33_mapping(),
-            f2: self.fig2_content_types(),
-            f3: self.fig3_popularity(),
-            f4: self.fig4_seeding(),
-            s51: self.s51_classes(),
-            t4: self.t4_longitudinal(),
-            t5: self.t5_economics(),
-            s6: self.s6_hosting_income(),
-            aa: self.aa_session_model(),
-            v1: self.v1_validation(),
-        }
-    }
-
-    /// Renders every experiment as a human-readable report with the
-    /// paper's values alongside.
-    pub fn full_report(&self) -> String {
-        render_full_report(&self.report_data())
-    }
-}
-
-/// Every experiment's output, as one value. Both drivers produce this —
-/// [`Experiments::report_data`] from a materialized dataset,
-/// [`crate::stream_study::StreamStudy::report_data`] from the streaming
-/// aggregation — and [`render_full_report`] turns either into the exact
-/// same text.
+/// Every experiment's output, as one value, built by [`report_data`] for
+/// both drivers and rendered by [`ReportData::full_report`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportData {
     /// Table 1.
@@ -434,199 +190,379 @@ pub struct ReportData {
     pub v1: ValidationReport,
 }
 
-/// Renders the full side-by-side report from precomputed data.
-pub fn render_full_report(data: &ReportData) -> String {
-    let mut out = String::new();
-    {
-        let t1 = &data.t1;
-        let _ = writeln!(
-            out,
-            "== T1 dataset {} ==\n  days={:.0} torrents={} (username {}, ip {}), distinct IPs={}",
-            t1.name, t1.days, t1.torrents_total, t1.torrents_username, t1.torrents_ip, t1.ip_addresses
-        );
-    }
-    {
-        let f1 = &data.f1;
-        let _ = writeln!(
-            out,
-            "== F1 skewness ==\n  top3%→{:.1}% of content (paper ≈{:.0}%); top-{}: {:.1}% content / {:.1}% downloads (paper 66/75)",
-            f1.share_top3pct,
-            paper::TOP3PCT_CONTENT,
-            f1.top_k,
-            f1.top_k_shares.0 * 100.0,
-            f1.top_k_shares.1 * 100.0
-        );
-    }
-    let _ = writeln!(out, "== T2 top ISPs ==");
-    for row in &data.t2 {
-        let _ = writeln!(out, "  {:<28} {:<16} {:>5.2}%", row.name, row.kind.to_string(), row.pct_content);
-    }
-    {
-        let (ovh, comcast) = &data.t3;
-        let _ = writeln!(
-            out,
-            "== T3 OVH vs Comcast ==\n  OVH: fed={} ips={} /16={} geo={}\n  Comcast: fed={} ips={} /16={} geo={}",
-            ovh.fed_torrents, ovh.ip_addresses, ovh.prefixes16, ovh.geo_locations,
-            comcast.fed_torrents, comcast.ip_addresses, comcast.prefixes16, comcast.geo_locations
-        );
-    }
-    {
-        let s33 = &data.s33;
-        let _ = writeln!(
-            out,
-            "== S33 mapping ==\n  fake: {} usernames, {} IPs; shares {:.0}%/{:.0}% (paper 30/25)\n  top shares {:.0}%/{:.0}% (paper 37/50); compromised dropped: {}\n  unique-username IPs {:.0}% (paper 55); username IP classes [{:.0} {:.0} {:.0} {:.0}]% (paper [25 34 24 16])\n  hosting {:.0}% (paper 42), OVH {:.0}% (paper 22)",
-            s33.fake_usernames, s33.fake_ips,
-            s33.fake_shares.0 * 100.0, s33.fake_shares.1 * 100.0,
-            s33.top_shares.0 * 100.0, s33.top_shares.1 * 100.0,
-            s33.compromised,
-            s33.mapping.top_ips_unique_username * 100.0,
-            s33.mapping.single_ip * 100.0, s33.mapping.multi_ip_hosting * 100.0,
-            s33.mapping.multi_ip_single_ci * 100.0, s33.mapping.multi_ip_multi_ci * 100.0,
-            s33.hosting.0 * 100.0, s33.hosting.1 * 100.0
-        );
-    }
-    let _ = writeln!(out, "== F2 content types (video share) ==");
-    for (g, dist) in &data.f2 {
-        let _ = writeln!(out, "  {:<7} video={:.0}% n={}", g.label(), dist.video_share() * 100.0, dist.n);
-    }
-    let _ = writeln!(out, "== F3 popularity (avg downloaders/torrent/publisher) ==");
-    for (g, b) in &data.f3 {
-        if let Some(b) = b {
-            let _ = writeln!(out, "  {:<7} p25={:>7.1} med={:>7.1} p75={:>7.1}", g.label(), b.p25, b.median, b.p75);
-        }
-    }
-    let _ = writeln!(out, "== F4 seeding ==");
-    for (g, boxes) in &data.f4 {
-        if let Some(b) = boxes {
+impl ReportData {
+    /// Renders every experiment as a human-readable report with the
+    /// paper's values alongside.
+    pub fn full_report(&self) -> String {
+        let data = self;
+        let mut out = String::new();
+        {
+            let t1 = &data.t1;
             let _ = writeln!(
                 out,
-                "  {:<7} seed_time med={:>6.1}h parallel med={:>5.2} aggregated med={:>7.1}h",
-                g.label(), b.seed_time.median, b.parallel.median, b.aggregated.median
+                "== T1 dataset {} ==\n  days={:.0} torrents={} (username {}, ip {}), distinct IPs={}",
+                t1.name, t1.days, t1.torrents_total, t1.torrents_username, t1.torrents_ip, t1.ip_addresses
             );
         }
-    }
-    {
-        let s51 = &data.s51;
-        let _ = writeln!(out, "== S51 classes ==");
-        for (c, of_top, content, downloads) in &s51.shares {
+        {
+            let f1 = &data.f1;
             let _ = writeln!(
                 out,
-                "  {:<22} of_top={:.0}% content={:.1}% downloads={:.1}%",
-                c.label(), of_top * 100.0, content * 100.0, downloads * 100.0
+                "== F1 skewness ==\n  top3%→{:.1}% of content (paper ≈{:.0}%); top-{}: {:.1}% content / {:.1}% downloads (paper 66/75)",
+                f1.share_top3pct,
+                paper::TOP3PCT_CONTENT,
+                f1.top_k,
+                f1.top_k_shares.0 * 100.0,
+                f1.top_k_shares.1 * 100.0
             );
         }
-        let _ = writeln!(
-            out,
-            "  profit-driven: {:.0}% content / {:.0}% downloads (paper 26/40); placements {:?}; portal language-dedicated {:.0}% (es {:.0}%)",
-            s51.profit_shares.0 * 100.0, s51.profit_shares.1 * 100.0,
-            s51.placements, s51.language_dedicated.0 * 100.0, s51.language_dedicated.1 * 100.0
-        );
+        let _ = writeln!(out, "== T2 top ISPs ==");
+        for row in &data.t2 {
+            let _ = writeln!(out, "  {:<28} {:<16} {:>5.2}%", row.name, row.kind.to_string(), row.pct_content);
+        }
+        {
+            let (ovh, comcast) = &data.t3;
+            let _ = writeln!(
+                out,
+                "== T3 OVH vs Comcast ==\n  OVH: fed={} ips={} /16={} geo={}\n  Comcast: fed={} ips={} /16={} geo={}",
+                ovh.fed_torrents, ovh.ip_addresses, ovh.prefixes16, ovh.geo_locations,
+                comcast.fed_torrents, comcast.ip_addresses, comcast.prefixes16, comcast.geo_locations
+            );
+        }
+        {
+            let s33 = &data.s33;
+            let _ = writeln!(
+                out,
+                "== S33 mapping ==\n  fake: {} usernames, {} IPs; shares {:.0}%/{:.0}% (paper 30/25)\n  top shares {:.0}%/{:.0}% (paper 37/50); compromised dropped: {}\n  unique-username IPs {:.0}% (paper 55); username IP classes [{:.0} {:.0} {:.0} {:.0}]% (paper [25 34 24 16])\n  hosting {:.0}% (paper 42), OVH {:.0}% (paper 22)",
+                s33.fake_usernames, s33.fake_ips,
+                s33.fake_shares.0 * 100.0, s33.fake_shares.1 * 100.0,
+                s33.top_shares.0 * 100.0, s33.top_shares.1 * 100.0,
+                s33.compromised,
+                s33.mapping.top_ips_unique_username * 100.0,
+                s33.mapping.single_ip * 100.0, s33.mapping.multi_ip_hosting * 100.0,
+                s33.mapping.multi_ip_single_ci * 100.0, s33.mapping.multi_ip_multi_ci * 100.0,
+                s33.hosting.0 * 100.0, s33.hosting.1 * 100.0
+            );
+        }
+        let _ = writeln!(out, "== F2 content types (video share) ==");
+        for (g, dist) in &data.f2 {
+            let _ = writeln!(out, "  {:<7} video={:.0}% n={}", g.label(), dist.video_share() * 100.0, dist.n);
+        }
+        let _ = writeln!(out, "== F3 popularity (avg downloaders/torrent/publisher) ==");
+        for (g, b) in &data.f3 {
+            if let Some(b) = b {
+                let _ = writeln!(out, "  {:<7} p25={:>7.1} med={:>7.1} p75={:>7.1}", g.label(), b.p25, b.median, b.p75);
+            }
+        }
+        let _ = writeln!(out, "== F4 seeding ==");
+        for (g, boxes) in &data.f4 {
+            if let Some(b) = boxes {
+                let _ = writeln!(
+                    out,
+                    "  {:<7} seed_time med={:>6.1}h parallel med={:>5.2} aggregated med={:>7.1}h",
+                    g.label(), b.seed_time.median, b.parallel.median, b.aggregated.median
+                );
+            }
+        }
+        {
+            let s51 = &data.s51;
+            let _ = writeln!(out, "== S51 classes ==");
+            for (c, of_top, content, downloads) in &s51.shares {
+                let _ = writeln!(
+                    out,
+                    "  {:<22} of_top={:.0}% content={:.1}% downloads={:.1}%",
+                    c.label(), of_top * 100.0, content * 100.0, downloads * 100.0
+                );
+            }
+            let _ = writeln!(
+                out,
+                "  profit-driven: {:.0}% content / {:.0}% downloads (paper 26/40); placements {:?}; portal language-dedicated {:.0}% (es {:.0}%)",
+                s51.profit_shares.0 * 100.0, s51.profit_shares.1 * 100.0,
+                s51.placements, s51.language_dedicated.0 * 100.0, s51.language_dedicated.1 * 100.0
+            );
+        }
+        let _ = writeln!(out, "== T4 longitudinal ==");
+        for row in &data.t4 {
+            let _ = writeln!(
+                out,
+                "  {:<22} lifetime {:>4.0}/{:>4.0}/{:>4.0}d rate {:>5.2}/{:>5.2}/{:>5.2}/day",
+                row.class.label(),
+                row.lifetime_days.min, row.lifetime_days.avg, row.lifetime_days.max,
+                row.rate_per_day.min, row.rate_per_day.avg, row.rate_per_day.max
+            );
+        }
+        let _ = writeln!(out, "== T5 economics (paper-scale corrected; min/med/avg/max) ==");
+        for row in &data.t5 {
+            let m = |v: &btpub_analysis::stats::MinMedAvgMax| {
+                format!(
+                    "{}/{}/{}/{}",
+                    human(v.min),
+                    human(v.median),
+                    human(v.avg),
+                    human(v.max)
+                )
+            };
+            let _ = writeln!(
+                out,
+                "  {:<16} value ${} income ${}/day visits {}/day",
+                row.class.label(),
+                m(&row.value_dollars),
+                m(&row.daily_income_dollars),
+                m(&row.daily_visits)
+            );
+        }
+        let _ = writeln!(out, "== S6 hosting income ==");
+        for (p, servers, income) in &data.s6 {
+            let _ = writeln!(out, "  {:<12} servers={} income≈{:.0}€/mo", p, servers, income);
+        }
+        {
+            let aa = &data.aa;
+            let _ = writeln!(
+                out,
+                "== AA session model ==\n  m for P≥0.99: {} (paper 13); P(13)={:.4}\n  top median aggregated session @2h/4h/6h thresholds: {:.1}/{:.1}/{:.1} h",
+                aa.m_for_99, aa.capture_curve[12],
+                aa.threshold_sensitivity[0], aa.threshold_sensitivity[1], aa.threshold_sensitivity[2]
+            );
+        }
+        {
+            let v1 = &data.v1;
+            let _ = writeln!(
+                out,
+                "== V1 validation ==\n  IP identified {:.0}% (paper ≈40%), precision {:.2}; session err med {:.2}; download coverage {:.2}",
+                v1.ip_identified_frac * 100.0, v1.ip_precision, v1.session_error_median, v1.download_coverage
+            );
+        }
+        out
     }
-    let _ = writeln!(out, "== T4 longitudinal ==");
-    for row in &data.t4 {
-        let _ = writeln!(
-            out,
-            "  {:<22} lifetime {:>4.0}/{:>4.0}/{:>4.0}d rate {:>5.2}/{:>5.2}/{:>5.2}/day",
-            row.class.label(),
-            row.lifetime_days.min, row.lifetime_days.avg, row.lifetime_days.max,
-            row.rate_per_day.min, row.rate_per_day.avg, row.rate_per_day.max
-        );
-    }
-    let _ = writeln!(out, "== T5 economics (paper-scale corrected; min/med/avg/max) ==");
-    for row in &data.t5 {
-        let m = |v: &btpub_analysis::stats::MinMedAvgMax| {
-            format!(
-                "{}/{}/{}/{}",
-                human(v.min),
-                human(v.median),
-                human(v.avg),
-                human(v.max)
+}
+
+/// Computes every experiment from the folded aggregates: the one builder
+/// of [`ReportData`], called by [`crate::Study`] and
+/// [`crate::StreamStudy`] alike. Each section runs in its own `exp.*`
+/// span.
+pub fn report_data(
+    scenario: &Scenario,
+    eco: &Ecosystem,
+    s: &StreamAnalyses,
+    truth: &TruthCounters,
+) -> ReportData {
+    let _span = btpub_obs::span!("study.report");
+    let db = &eco.world.db;
+    let seed = eco.config.seed;
+    let top_k = scenario.top_k();
+    let totals = &s.totals;
+    let is_top = |key: &PublisherKey| s.groups.top.contains(key);
+    let t1 = {
+        let _span = btpub_obs::span!("exp.t1");
+        DatasetSummary {
+            name: scenario.crawler.name.clone(),
+            days: eco.config.duration.as_days(),
+            torrents_username: totals.torrents_username,
+            torrents_ip: totals.torrents_ip,
+            torrents_total: totals.torrents_total,
+            ip_addresses: totals.distinct_ips,
+        }
+    };
+    let f1 = {
+        let _span = btpub_obs::span!("exp.f1");
+        SkewnessReport {
+            cdf: contribution_cdf(&s.publishers),
+            share_top3pct: content_share_of_top(&s.publishers, 3.0),
+            top_k_shares: shares_of_top_k(&s.publishers, top_k),
+            top_k,
+        }
+    };
+    let t2 = {
+        let _span = btpub_obs::span!("exp.t2");
+        s.isp.top_isps(db, 10)
+    };
+    let t3 = {
+        let _span = btpub_obs::span!("exp.t3");
+        (s.isp.footprint(db, "OVH"), s.isp.footprint(db, "Comcast"))
+    };
+    let s33 = {
+        let _span = btpub_obs::span!("exp.s33");
+        let shares = |group| {
+            group_shares_from(
+                &s.publishers,
+                &s.groups,
+                group,
+                totals.torrents_total,
+                totals.total_downloads,
             )
         };
-        let _ = writeln!(
-            out,
-            "  {:<16} value ${} income ${}/day visits {}/day",
-            row.class.label(),
-            m(&row.value_dollars),
-            m(&row.daily_income_dollars),
-            m(&row.daily_visits)
-        );
+        let top_pub_stats: Vec<_> = s
+            .publishers
+            .iter()
+            .filter(|p| is_top(&p.key))
+            .cloned()
+            .collect();
+        MappingReport {
+            mapping: s.mapping,
+            fake_usernames: s.groups.fake_usernames.len(),
+            fake_ips: s.groups.fake_ips.len(),
+            fake_shares: shares(Group::Fake),
+            top_shares: shares(Group::Top),
+            compromised: s.groups.compromised_in_top_k,
+            hosting: hosting_shares(&top_pub_stats, db, "OVH"),
+        }
+    };
+    let f2 = {
+        let _span = btpub_obs::span!("exp.f2");
+        Group::ALL
+            .into_iter()
+            .map(|g| {
+                let dist = category_distribution_with(
+                    |idx| s.categories[idx],
+                    &s.publishers,
+                    &s.groups,
+                    g,
+                );
+                (g, dist)
+            })
+            .collect()
+    };
+    // Popularity is keyed per username for every group (the paper's Fake
+    // unit here is the 1030 throwaway accounts, which is what keeps the
+    // Fake box lowest).
+    let f3 = {
+        let _span = btpub_obs::span!("exp.f3");
+        Group::ALL
+            .into_iter()
+            .map(|g| (g, popularity_box(&s.publishers, &s.groups, g, seed)))
+            .collect()
+    };
+    // Seeding is aggregated per IP entity for the Fake group, as in the
+    // paper.
+    let f4 = {
+        let _span = btpub_obs::span!("exp.f4");
+        Group::ALL
+            .into_iter()
+            .map(|g| {
+                let stats = if g == Group::Fake {
+                    &s.fake_entities
+                } else {
+                    &s.publishers
+                };
+                let boxes = group_seeding_boxes_with(stats, &s.groups, g, seed, |members| {
+                    members
+                        .iter()
+                        .filter_map(|p| {
+                            if g == Group::Fake {
+                                s.fake_seeding_of(&p.key)
+                            } else {
+                                s.seeding_of(&p.key, DEFAULT_THRESHOLD_IDX)
+                            }
+                        })
+                        .collect()
+                })
+                .map(|(seed_time, parallel, aggregated)| SeedingBoxes {
+                    seed_time,
+                    parallel,
+                    aggregated,
+                });
+                (g, boxes)
+            })
+            .collect()
+    };
+    let s51 = {
+        let _span = btpub_obs::span!("exp.s51");
+        class_report(s)
+    };
+    let t4 = {
+        let _span = btpub_obs::span!("exp.t4");
+        longitudinal_rows(&Portal::new(eco), &s.classified, eco.config.horizon())
+    };
+    // Table 5 is reported at paper scale. Per-site traffic scales with
+    // both the per-swarm downloader counts (`downloads_scale`) and the
+    // torrents-per-major-publisher ratio (`torrents / majors`), so the
+    // correction undoes both.
+    let t5 = {
+        let _span = btpub_obs::span!("exp.t5");
+        let scale = scenario.scale;
+        let correction = 1.0 / eco.config.downloads_scale * (scale.majors / scale.torrents);
+        economics_rows(&s.classified, &site_reports(eco, &s.classified, correction))
+    };
+    // §6: `(provider, servers, €/month)` for OVH and the three
+    // fake-publisher providers.
+    let s6 = {
+        let _span = btpub_obs::span!("exp.s6");
+        ["OVH", "tzulo", "FDCservers", "4RWEB"]
+            .into_iter()
+            .map(|p| {
+                let (servers, income) = hosting_income_from(&s.isp.footprint(db, p), 300.0);
+                (p, servers, income)
+            })
+            .collect()
+    };
+    let aa = {
+        let _span = btpub_obs::span!("exp.aa");
+        let (n, w, _) = paper::APPENDIX_A;
+        let mut medians = [0.0f64; 3];
+        for (i, median) in medians.iter_mut().enumerate() {
+            let mut totals: Vec<f64> = s
+                .publishers
+                .iter()
+                .filter(|p| is_top(&p.key))
+                .filter_map(|p| s.seeding_of(&p.key, i).map(|m| m.aggregated_session_h))
+                .collect();
+            totals.sort_by(f64::total_cmp);
+            *median = totals.get(totals.len() / 2).copied().unwrap_or(0.0);
+        }
+        AppendixAReport {
+            capture_curve: (1..=20).map(|m| capture_probability(w, n, m)).collect(),
+            m_for_99: queries_needed(w, n, 0.99),
+            threshold_sensitivity: medians,
+        }
+    };
+    let v1 = {
+        let _span = btpub_obs::span!("exp.v1");
+        validation_report(eco, s, truth)
+    };
+    ReportData {
+        t1,
+        f1,
+        t2,
+        t3,
+        s33,
+        f2,
+        f3,
+        f4,
+        s51,
+        t4,
+        t5,
+        s6,
+        aa,
+        v1,
     }
-    let _ = writeln!(out, "== S6 hosting income ==");
-    for (p, servers, income) in &data.s6 {
-        let _ = writeln!(out, "  {:<12} servers={} income≈{:.0}€/mo", p, servers, income);
-    }
-    {
-        let aa = &data.aa;
-        let _ = writeln!(
-            out,
-            "== AA session model ==\n  m for P≥0.99: {} (paper 13); P(13)={:.4}\n  top median aggregated session @2h/4h/6h thresholds: {:.1}/{:.1}/{:.1} h",
-            aa.m_for_99, aa.capture_curve[12],
-            aa.threshold_sensitivity[0], aa.threshold_sensitivity[1], aa.threshold_sensitivity[2]
-        );
-    }
-    {
-        let v1 = &data.v1;
-        let _ = writeln!(
-            out,
-            "== V1 validation ==\n  IP identified {:.0}% (paper ≈40%), precision {:.2}; session err med {:.2}; download coverage {:.2}",
-            v1.ip_identified_frac * 100.0, v1.ip_precision, v1.session_error_median, v1.download_coverage
-        );
-    }
-    out
 }
 
-/// §3.3 report assembly shared by both drivers: the mapping stats and
-/// group shares are computed per-driver (identically), the hosting shares
-/// here from the sorted publisher list.
-pub fn mapping_report(
-    publishers: &[PublisherStats],
-    groups: &Groups,
-    db: &GeoDb,
-    mapping: MappingStats,
-    fake_shares: (f64, f64),
-    top_shares: (f64, f64),
-) -> MappingReport {
-    let top_pub_stats: Vec<_> = publishers
-        .iter()
-        .filter(|p| groups.top.contains(&p.key))
-        .cloned()
-        .collect();
-    MappingReport {
-        mapping,
-        fake_usernames: groups.fake_usernames.len(),
-        fake_ips: groups.fake_ips.len(),
-        fake_shares,
-        top_shares,
-        compromised: groups.compromised_in_top_k,
-        hosting: hosting_shares(&top_pub_stats, db, "OVH"),
-    }
-}
-
-/// §5.1 report assembly shared by both drivers, parameterized over how a
-/// class's `(of_top, content, downloads)` shares are computed.
-pub fn class_report(
-    classified: &[Classified],
-    shares_of: impl Fn(BusinessClass) -> (f64, f64, f64),
-) -> ClassReport {
-    let classes = [
+/// §5.1: per-class shares of the Top set, profit-driven totals, URL
+/// placements and the portal class's language dedication.
+fn class_report(s: &StreamAnalyses) -> ClassReport {
+    let shares = [
         BusinessClass::BtPortal,
         BusinessClass::OtherWeb,
         BusinessClass::Altruistic,
-    ];
-    let shares = classes
-        .into_iter()
-        .map(|c| {
-            let (of_top, content, downloads) = shares_of(c);
-            (c, of_top, content, downloads)
-        })
-        .collect::<Vec<_>>();
+    ]
+    .into_iter()
+    .map(|c| {
+        let (of_top, content, downloads) = class_shares_from(
+            &s.publishers,
+            &s.classified,
+            c,
+            s.totals.torrents_total,
+            s.totals.total_downloads,
+        );
+        (c, of_top, content, downloads)
+    })
+    .collect::<Vec<_>>();
     let profit_shares = shares
         .iter()
         .filter(|(c, ..)| c.is_profit_driven())
         .fold((0.0, 0.0), |(pc, pd), (_, _, c, d)| (pc + c, pd + d));
     let mut placements: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for c in classified.iter().filter(|c| c.url.is_some()) {
+    for c in s.classified.iter().filter(|c| c.url.is_some()) {
         for p in &c.placements {
             let label = match p {
                 UrlPlacement::Textbox => "textbox",
@@ -635,7 +571,8 @@ pub fn class_report(
             *placements.entry(label).or_default() += 1;
         }
     }
-    let portal_members: Vec<_> = classified
+    let portal_members: Vec<_> = s
+        .classified
         .iter()
         .filter(|c| c.class == BusinessClass::BtPortal)
         .collect();
@@ -659,50 +596,55 @@ pub fn class_report(
     }
 }
 
-/// §6 assembly shared by both drivers: the provider list and price are
-/// fixed, only the footprint lookup differs.
-pub fn hosting_income_rows(
-    income_of: impl Fn(&'static str) -> (usize, f64),
-) -> Vec<(&'static str, usize, f64)> {
-    ["OVH", "tzulo", "FDCservers", "4RWEB"]
-        .into_iter()
-        .map(|p| {
-            let (servers, income) = income_of(p);
-            (p, servers, income)
-        })
-        .collect()
+/// V1: crawler output checked against the simulation's ground truth.
+fn validation_report(
+    eco: &Ecosystem,
+    s: &StreamAnalyses,
+    truth: &TruthCounters,
+) -> ValidationReport {
+    // Session estimation error for top publishers (by ground truth).
+    let mut errors: Vec<f64> = Vec::new();
+    let username_of: btpub_fxhash::FxHashMap<&str, usize> = eco
+        .publishers
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (p.primary_username(), i))
+        .collect();
+    for p in s
+        .publishers
+        .iter()
+        .filter(|p| s.groups.top.contains(&p.key))
+    {
+        let PublisherKey::Username(u) = &p.key else {
+            continue;
+        };
+        let Some(&pi) = username_of.get(u.as_str()) else {
+            continue;
+        };
+        if !eco.publishers[pi].profile.is_top() {
+            continue;
+        }
+        let truth_h = eco.session_unions[pi].total().as_hours();
+        if truth_h < 1.0 {
+            continue;
+        }
+        let Some(m) = s.seeding_of(&p.key, DEFAULT_THRESHOLD_IDX) else {
+            continue;
+        };
+        errors.push((m.aggregated_session_h - truth_h).abs() / truth_h);
+    }
+    errors.sort_by(f64::total_cmp);
+    let session_error_median = errors.get(errors.len() / 2).copied().unwrap_or(1.0);
+    ValidationReport {
+        ip_identified_frac: truth.identified as f64 / s.totals.torrents_total.max(1) as f64,
+        ip_precision: truth.correct as f64 / truth.identified.max(1) as f64,
+        session_error_median,
+        download_coverage: truth.observed_downloads as f64 / eco.total_downloads().max(1) as f64,
+    }
 }
 
-/// Appendix A assembly shared by both drivers, parameterized over where a
-/// top publisher's aggregated session hours at threshold index `i` (into
-/// [`SEEDING_THRESHOLDS_H`]) come from.
-pub fn appendix_a_report(
-    publishers: &[PublisherStats],
-    groups: &Groups,
-    aggregated_h_of: impl Fn(&PublisherStats, usize) -> Option<f64>,
-) -> AppendixAReport {
-    let (n, w, _) = paper::APPENDIX_A;
-    let capture_curve: Vec<f64> = (1..=20).map(|m| capture_probability(w, n, m)).collect();
-    let mut medians = [0.0f64; 3];
-    for (i, median) in medians.iter_mut().enumerate() {
-        let mut totals: Vec<f64> = publishers
-            .iter()
-            .filter(|p| groups.top.contains(&p.key))
-            .filter_map(|p| aggregated_h_of(p, i))
-            .collect();
-        totals.sort_by(f64::total_cmp);
-        *median = totals.get(totals.len() / 2).copied().unwrap_or(0.0);
-    }
-    AppendixAReport {
-        capture_curve,
-        m_for_99: queries_needed(w, n, 0.99),
-        threshold_sensitivity: medians,
-    }
-}
-
-/// Per-record ground-truth tallies for V1: the materialized driver scans
-/// the dataset, the streaming consumer folds each record in as it leaves
-/// the channel. Identical per-record code either way.
+/// Per-record ground-truth tallies for V1, observed beside every
+/// [`btpub_analysis::streaming::StreamAggregator`] fold by both drivers.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TruthCounters {
     /// Torrents with an identified publisher IP.
@@ -730,54 +672,6 @@ impl TruthCounters {
     }
 }
 
-/// V1 assembly shared by both drivers, parameterized over where a top
-/// publisher's estimated seeding metrics come from.
-pub fn validation_report(
-    eco: &Ecosystem,
-    torrents_total: usize,
-    truth: &TruthCounters,
-    publishers: &[PublisherStats],
-    groups: &Groups,
-    metrics_of: impl Fn(&PublisherStats) -> Option<SeedingMetrics>,
-) -> ValidationReport {
-    // Session estimation error for top publishers (by ground truth).
-    let mut errors: Vec<f64> = Vec::new();
-    let username_of: btpub_fxhash::FxHashMap<&str, usize> = eco
-        .publishers
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.primary_username(), i))
-        .collect();
-    for p in publishers.iter().filter(|p| groups.top.contains(&p.key)) {
-        let btpub_analysis::publishers::PublisherKey::Username(u) = &p.key else {
-            continue;
-        };
-        let Some(&pi) = username_of.get(u.as_str()) else {
-            continue;
-        };
-        if !eco.publishers[pi].profile.is_top() {
-            continue;
-        }
-        let truth_h = eco.session_unions[pi].total().as_hours();
-        if truth_h < 1.0 {
-            continue;
-        }
-        let Some(m) = metrics_of(p) else {
-            continue;
-        };
-        errors.push((m.aggregated_session_h - truth_h).abs() / truth_h);
-    }
-    errors.sort_by(f64::total_cmp);
-    let session_error_median = errors.get(errors.len() / 2).copied().unwrap_or(1.0);
-    ValidationReport {
-        ip_identified_frac: truth.identified as f64 / torrents_total.max(1) as f64,
-        ip_precision: truth.correct as f64 / truth.identified.max(1) as f64,
-        session_error_median,
-        download_coverage: truth.observed_downloads as f64
-            / eco.total_downloads().max(1) as f64,
-    }
-}
-
 /// Compact human rendering: `7.3K`, `2.8M`, `412`.
 fn human(v: f64) -> String {
     let a = v.abs();
@@ -789,11 +683,6 @@ fn human(v: f64) -> String {
         format!("{v:.0}")
     }
 }
-
-// Silence an unused-import lint when Profile is only used in tests.
-const _: fn() = || {
-    let _ = Profile::Fake;
-};
 
 #[cfg(test)]
 mod tests {
@@ -812,7 +701,10 @@ mod tests {
         for section in [
             "T1", "F1", "T2", "T3", "S33", "F2", "F3", "F4", "S51", "T4", "T5", "S6", "AA", "V1",
         ] {
-            assert!(report.contains(&format!("== {section}")), "missing {section}\n{report}");
+            assert!(
+                report.contains(&format!("== {section}")),
+                "missing {section}\n{report}"
+            );
         }
     }
 
@@ -820,7 +712,7 @@ mod tests {
     fn appendix_a_matches_paper() {
         let study = analyses();
         let a = study.analyze();
-        let aa = a.experiments().aa_session_model();
+        let aa = a.experiments().aa;
         assert_eq!(aa.m_for_99, 13);
         assert!(aa.capture_curve[12] > 0.99);
         // Monotone capture curve.
@@ -831,7 +723,7 @@ mod tests {
     fn validation_report_sane() {
         let study = analyses();
         let a = study.analyze();
-        let v1 = a.experiments().v1_validation();
+        let v1 = a.experiments().v1;
         assert!(v1.ip_identified_frac > 0.15 && v1.ip_identified_frac < 0.85);
         assert!(v1.ip_precision > 0.85);
         assert!(v1.download_coverage > 0.2);

@@ -6,7 +6,12 @@
 //! BitTorrent ecosystem because the real one no longer exists.
 //!
 //! This crate is the public umbrella: it wires the substrates together
-//! and exposes the paper's experiments as a typed API.
+//! and exposes the paper's experiments as a typed API. There is one
+//! analysis path: both drivers — [`Study`] over a materialized dataset,
+//! [`StreamStudy`] over a bounded channel — fold the crawl's records
+//! through the same [`analysis::streaming::StreamAggregator`], and
+//! [`experiments::report_data`] turns the folded aggregates into every
+//! table and figure as one [`experiments::ReportData`].
 //!
 //! ```
 //! use btpub::{Scenario, Scale, Study};
@@ -14,9 +19,8 @@
 //! // A miniature pb10-style measurement campaign, end to end.
 //! let scenario = Scenario::pb10(Scale::tiny());
 //! let study = Study::run(&scenario);
-//! let analyses = study.analyze();
-//! let f1 = analyses.experiments().fig1_skewness();
-//! let (content_share, download_share) = f1.top_k_shares;
+//! let report = study.analyze().experiments();
+//! let (content_share, download_share) = report.f1.top_k_shares;
 //! assert!(content_share > 0.3, "the major publishers dominate content");
 //! assert!(download_share > 0.3, "and the downloads");
 //! ```
@@ -31,7 +35,8 @@
 //! * [`btpub_crawler`] — the §2 measurement apparatus;
 //! * [`btpub_analysis`] — the §3–§6 + Appendix A analysis pipeline;
 //! * this crate — scenarios ([`Scenario`], [`Scale`]), the end-to-end
-//!   runner ([`Study`]), and per-experiment reports ([`experiments`]).
+//!   runners ([`Study`], [`StreamStudy`]), and per-experiment reports
+//!   ([`experiments`]).
 
 pub mod experiments;
 pub mod scenario;

@@ -1,13 +1,11 @@
 //! The end-to-end study runner.
 
-use btpub_analysis::classify::{classify_top, Classified};
-use btpub_analysis::fake::{assign_groups, Groups};
-use btpub_analysis::publishers::{aggregate_publishers, PublisherStats};
+use btpub_analysis::streaming::{StreamAggregator, StreamAnalyses, StreamConfig};
 use btpub_crawler::{run_crawl, Dataset};
-use btpub_portal::Portal;
 use btpub_sim::Ecosystem;
+use btpub_stream::spill::DistinctU32;
 
-use crate::experiments::Experiments;
+use crate::experiments::{report_data, ReportData, TruthCounters};
 use crate::scenario::Scenario;
 
 /// A completed measurement campaign: the generated world plus what the
@@ -42,46 +40,49 @@ impl Study {
         }
     }
 
-    /// Runs the analysis pipeline over the dataset.
+    /// Runs the analysis pipeline over the dataset: the records fold, in
+    /// announcement order, through the same [`StreamAggregator`] and
+    /// [`TruthCounters`] the streaming driver uses.
     pub fn analyze(&self) -> Analyses<'_> {
         let _span = btpub_obs::span!("study.analyze");
-        let publishers = aggregate_publishers(&self.dataset);
-        let top_k = self.scenario.top_k();
-        let groups = assign_groups(&self.dataset, &publishers, &self.eco.world.db, top_k);
-        let classified = classify_top(&self.dataset, &publishers, &groups);
+        let cfg = StreamConfig {
+            has_usernames: self.dataset.has_usernames,
+            top_k: self.scenario.top_k(),
+        };
+        let mut agg = StreamAggregator::new(cfg, &self.eco.world.db, DistinctU32::in_memory());
+        let mut truth = TruthCounters::default();
+        for rec in &self.dataset.torrents {
+            truth.observe(rec, &self.eco);
+            agg.ingest(rec);
+        }
         Analyses {
             study: self,
-            publishers,
-            groups,
-            classified,
-            top_k,
+            aggregates: agg.finish(),
+            truth,
         }
     }
 }
 
-/// The analysis pipeline's shared intermediate state.
+/// The analysis pipeline's output over one study.
 pub struct Analyses<'a> {
     /// The study analysed.
     pub study: &'a Study,
-    /// Per-publisher aggregation, sorted by content count descending.
-    pub publishers: Vec<PublisherStats>,
-    /// §3.3 group assignment.
-    pub groups: Groups,
-    /// §5.1 business classification of the Top set.
-    pub classified: Vec<Classified>,
-    /// The top-k used.
-    pub top_k: usize,
+    /// What the fold produced: publishers, groups, classification and the
+    /// per-publisher seeding metrics.
+    pub aggregates: StreamAnalyses,
+    /// Ground-truth tallies for V1.
+    pub truth: TruthCounters,
 }
 
-impl<'a> Analyses<'a> {
-    /// A portal view over the study's ecosystem (user pages, RSS).
-    pub fn portal(&self) -> Portal<'a> {
-        Portal::new(&self.study.eco)
-    }
-
-    /// The experiment report builder.
-    pub fn experiments(&self) -> Experiments<'_, 'a> {
-        Experiments::new(self)
+impl Analyses<'_> {
+    /// Every experiment's output.
+    pub fn experiments(&self) -> ReportData {
+        report_data(
+            &self.study.scenario,
+            &self.study.eco,
+            &self.aggregates,
+            &self.truth,
+        )
     }
 }
 
@@ -106,12 +107,13 @@ mod tests {
     #[test]
     fn analyses_build_groups_and_classes() {
         let a = study().analyze();
-        assert!(!a.publishers.is_empty());
-        assert!(!a.groups.top.is_empty());
-        assert!(!a.groups.fake_usernames.is_empty());
-        assert!(!a.classified.is_empty());
+        let s = &a.aggregates;
+        assert!(!s.publishers.is_empty());
+        assert!(!s.groups.top.is_empty());
+        assert!(!s.groups.fake_usernames.is_empty());
+        assert!(!s.classified.is_empty());
         // Classified set == Top set.
-        assert_eq!(a.classified.len(), a.groups.top.len());
+        assert_eq!(s.classified.len(), s.groups.top.len());
     }
 
     #[test]
@@ -125,7 +127,7 @@ mod tests {
             .filter(|p| p.profile == btpub_sim::Profile::Fake)
             .flat_map(|p| p.usernames.iter().map(String::as_str))
             .collect();
-        let detected = &a.groups.fake_usernames;
+        let detected = &a.aggregates.groups.fake_usernames;
         // Recall over *active* fake usernames (those that published).
         let active: std::collections::HashSet<&str> = a
             .study

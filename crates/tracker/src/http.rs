@@ -88,9 +88,11 @@ pub fn read_request_from<R: BufRead>(reader: &mut R) -> std::io::Result<Option<R
 /// Returns `Ok(Some((request, consumed)))` when a whole request
 /// (headers plus any `Content-Length` body) is present, `Ok(None)` when
 /// more bytes are needed, and `Err` for garbage (non-GET, no HTTP
-/// request line, or a header section past 16 KiB).
+/// request line, a header section past 16 KiB, or a declared body past
+/// 64 KiB — the caller would otherwise buffer it).
 pub fn try_parse_request(buf: &[u8]) -> std::io::Result<Option<(Request, usize)>> {
     const MAX_HEAD: usize = 16 * 1024;
+    const MAX_BODY: usize = 64 * 1024;
     let head_end = match buf.windows(4).position(|w| w == b"\r\n\r\n") {
         Some(i) => i,
         None => {
@@ -125,11 +127,18 @@ pub fn try_parse_request(buf: &[u8]) -> std::io::Result<Option<(Request, usize)>
             if name.eq_ignore_ascii_case("connection") {
                 keep_alive = value.eq_ignore_ascii_case("keep-alive");
             } else if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().unwrap_or(0);
+                // Unparsable (or past usize) is refused below, never
+                // read as 0: the body would frame as the next request.
+                content_length = value.parse().unwrap_or(usize::MAX);
             }
         }
     }
-    let total = head_end + 4 + content_length;
+    let total = Some(content_length)
+        .filter(|&len| len <= MAX_BODY)
+        .and_then(|len| (head_end + 4).checked_add(len))
+        .ok_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::InvalidData, "bad or oversized Content-Length")
+        })?;
     if buf.len() < total {
         return Ok(None); // body still in flight
     }
@@ -321,6 +330,23 @@ mod tests {
         // buffering forever.
         let flood = vec![b'A'; 20 * 1024];
         assert!(try_parse_request(&flood).is_err());
+    }
+
+    #[test]
+    fn try_parse_rejects_oversized_content_length() {
+        // usize::MAX would overflow the frame end.
+        let wire = b"GET /announce HTTP/1.1\r\nContent-Length: 18446744073709551615\r\n\r\n";
+        assert_eq!(wire.len(), 64);
+        let err = try_parse_request(wire).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // A body past the cap is refused up front instead of buffered.
+        let wire = b"GET /a HTTP/1.1\r\nContent-Length: 65537\r\n\r\n";
+        let err = try_parse_request(wire).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let wire = b"GET /a HTTP/1.1\r\nContent-Length: 99999999999999999999\r\n\r\n";
+        assert!(try_parse_request(wire).is_err(), "a length past usize is refused too");
+        let wire = b"GET /a HTTP/1.1\r\nContent-Length: 65536\r\n\r\n";
+        assert!(try_parse_request(wire).unwrap().is_none(), "body at the cap still waits");
     }
 
     #[test]

@@ -50,8 +50,18 @@ fn render_tiny_streamed(scenario: &Scenario, jobs: usize) -> String {
 
 fn header(scenario: &Scenario) -> String {
     let mut out = String::new();
-    writeln!(out, "################ scenario {} ################", scenario.name).unwrap();
-    writeln!(out, "# fault-profile: {}", scenario.crawler.fault_profile.name).unwrap();
+    writeln!(
+        out,
+        "################ scenario {} ################",
+        scenario.name
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "# fault-profile: {}",
+        scenario.crawler.fault_profile.name
+    )
+    .unwrap();
     out
 }
 
