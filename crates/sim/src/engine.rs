@@ -104,30 +104,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Runs the queue to completion (or until `horizon`), calling
-    /// `handler(now, event, queue)` for each event. The handler may
-    /// schedule further events.
-    pub fn run_until<F>(&mut self, horizon: SimTime, mut handler: F)
-    where
-        F: FnMut(SimTime, E, &mut EventQueue<E>),
-    {
-        while let Some(at) = self.peek_time() {
-            if at > horizon {
-                break;
-            }
-            let (now, event) = self.pop().expect("peeked event exists");
-            let _tick = btpub_obs::span!("sim.engine.tick");
-            // The handler gets a scratch queue view via re-borrow: events it
-            // schedules land in `self` after the swap dance below.
-            let mut scratch = EventQueue::new();
-            scratch.now = now;
-            handler(now, event, &mut scratch);
-            for Reverse(e) in scratch.heap.drain() {
-                self.schedule(e.at, e.event);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,38 +144,6 @@ mod tests {
         q.schedule(t(10), ());
         q.pop();
         q.schedule(t(5), ());
-    }
-
-    #[test]
-    fn run_until_respects_horizon_and_reentrancy() {
-        let mut q = EventQueue::new();
-        q.schedule(t(0), 0u64);
-        let mut seen = Vec::new();
-        q.run_until(t(50), |now, ev, q2| {
-            seen.push((now, ev));
-            if ev < 100 {
-                q2.schedule(now + crate::time::SimDuration(10), ev + 1);
-            }
-        });
-        // Events at 0,10,20,30,40,50 fire; the one scheduled for 60 stays.
-        assert_eq!(seen.len(), 6);
-        assert_eq!(seen.last(), Some(&(t(50), 5)));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(t(60)));
-    }
-
-    #[test]
-    fn same_time_rescheduling_runs_this_pass() {
-        let mut q = EventQueue::new();
-        q.schedule(t(5), 0);
-        let mut count = 0;
-        q.run_until(t(5), |now, ev, q2| {
-            count += 1;
-            if ev == 0 {
-                q2.schedule(now, 1); // same instant
-            }
-        });
-        assert_eq!(count, 2);
     }
 
     #[test]

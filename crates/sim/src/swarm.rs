@@ -103,6 +103,14 @@ pub struct SwarmTrace {
     pub removal_at: Option<SimTime>,
     /// Peers sorted by arrival time.
     peers: Vec<PeerRecord>,
+    /// `peers[i].arrival`, as a dense column: the arrival-window bounds
+    /// binary-search 8-byte keys instead of striding 40-byte records.
+    arrival_col: Vec<u64>,
+    /// `peers[i].departure`, in the same (arrival) order as `peers`.
+    /// Every peer in an arrival window has arrived by `t`, so it is
+    /// active exactly when `t < departure`: sampling reads this column
+    /// and touches a `PeerRecord` only once it is picked.
+    departure_col: Vec<u64>,
     /// All departures, sorted (for O(log n) active counts).
     departures: Vec<u64>,
     /// All completion times, sorted.
@@ -132,13 +140,18 @@ impl SwarmTrace {
         assert!(birth <= announce_at, "birth after announcement");
         peers.sort_by_key(|p| p.arrival);
         // One counting scan buys exact capacities, then a single pass
-        // fills all three schedules and the residency bound together.
+        // fills both columns, all three schedules and the residency
+        // bound together.
         let completers = peers.iter().filter(|p| p.completed.is_some()).count();
+        let mut arrival_col: Vec<u64> = Vec::with_capacity(peers.len());
+        let mut departure_col: Vec<u64> = Vec::with_capacity(peers.len());
         let mut departures: Vec<u64> = Vec::with_capacity(peers.len());
         let mut completions: Vec<u64> = Vec::with_capacity(completers);
         let mut completer_departures: Vec<u64> = Vec::with_capacity(completers);
         let mut max_residency = 0u64;
         for p in &peers {
+            arrival_col.push(p.arrival.0);
+            departure_col.push(p.departure.0);
             departures.push(p.departure.0);
             if let Some(c) = p.completed {
                 completions.push(c.0);
@@ -157,6 +170,8 @@ impl SwarmTrace {
             sessions,
             removal_at,
             peers,
+            arrival_col,
+            departure_col,
             departures,
             completions,
             completer_departures,
@@ -188,6 +203,17 @@ impl SwarmTrace {
         &self.peers
     }
 
+    /// The arrival column: `peers()[i].arrival` for every `i`.
+    pub fn arrival_column(&self) -> &[u64] {
+        &self.arrival_col
+    }
+
+    /// The departure column: `peers()[i].departure` for every `i`, in
+    /// arrival order (not sorted by departure).
+    pub fn departure_column(&self) -> &[u64] {
+        &self.departure_col
+    }
+
     /// Whether the publisher is seeding at `t`.
     pub fn publisher_seeding(&self, t: SimTime) -> bool {
         self.sessions.contains(t)
@@ -195,9 +221,25 @@ impl SwarmTrace {
 
     /// Number of non-publisher peers in the swarm at `t` — O(log n).
     pub fn active_count(&self, t: SimTime) -> usize {
-        let arrived = self.peers.partition_point(|p| p.arrival <= t);
-        let departed = self.departures.partition_point(|&d| d <= t.0);
-        arrived - departed
+        self.active_among(t, self.arrived(t))
+    }
+
+    /// Number of peers that arrived by `t`: the end of every arrival
+    /// window at `t`.
+    fn arrived(&self, t: SimTime) -> usize {
+        self.arrival_col.partition_point(|&a| a <= t.0)
+    }
+
+    /// Active count at `t`, given `arrived = self.arrived(t)`.
+    fn active_among(&self, t: SimTime, arrived: usize) -> usize {
+        arrived - self.departures.partition_point(|&d| d <= t.0)
+    }
+
+    /// Start of the arrival window ending at `hi = self.arrived(t)`: all
+    /// peers active at `t` arrived within the longest residency before it.
+    fn window_start(&self, t: SimTime, hi: usize) -> usize {
+        let start = (t - SimDuration(self.max_residency)).0;
+        self.arrival_col[..hi].partition_point(|&a| a < start)
     }
 
     /// Number of non-publisher seeders at `t` — O(log n).
@@ -260,20 +302,23 @@ impl SwarmTrace {
         scratch: &mut SampleScratch,
     ) -> &[PeerRecord] {
         scratch.idxs.clear();
-        let active = self.active_count(t);
+        let hi = self.arrived(t);
+        let active = self.active_among(t, hi);
         if active == 0 || want == 0 {
             return &[];
         }
-        // All active peers arrived within the residency window.
-        let window_start = t - SimDuration(self.max_residency);
-        let lo = self.peers.partition_point(|p| p.arrival < window_start);
-        let hi = self.peers.partition_point(|p| p.arrival <= t);
-        let window = &self.peers[lo..hi];
-        if active <= want || window.len() <= want * 4 {
+        let lo = self.window_start(t, hi);
+        // Window peers have all arrived by `t`: active means `t < departure`.
+        let departures = &self.departure_col[lo..hi];
+        if active <= want || departures.len() <= want * 4 {
             // Small case: collect all active, then subsample if needed.
-            scratch
-                .idxs
-                .extend(window.iter().enumerate().filter(|(_, p)| p.active(t)).map(|(i, _)| i));
+            scratch.idxs.extend(
+                departures
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &d)| t.0 < d)
+                    .map(|(i, _)| i),
+            );
             if scratch.idxs.len() > want {
                 // Partial Fisher-Yates for a uniform subset.
                 for i in 0..want {
@@ -282,7 +327,7 @@ impl SwarmTrace {
                 }
                 scratch.idxs.truncate(want);
             }
-            return window;
+            return &self.peers[lo..hi];
         }
         // Large case: rejection-sample indices in the window.
         scratch.picked.clear();
@@ -290,19 +335,18 @@ impl SwarmTrace {
         let max_attempts = want * 40;
         while scratch.idxs.len() < want && attempts < max_attempts {
             attempts += 1;
-            let idx = rng.gen_range(0..window.len());
-            if window[idx].active(t) && scratch.picked.insert(idx) {
+            let idx = rng.gen_range(0..departures.len());
+            if t.0 < departures[idx] && scratch.picked.insert(idx) {
                 scratch.idxs.push(idx);
             }
         }
-        window
+        &self.peers[lo..hi]
     }
 
     /// Finds an active peer with address `ip` at `t` (bitfield probing).
     pub fn peer_by_ip(&self, ip: u32, t: SimTime) -> Option<&PeerRecord> {
-        let window_start = t - SimDuration(self.max_residency);
-        let lo = self.peers.partition_point(|p| p.arrival < window_start);
-        let hi = self.peers.partition_point(|p| p.arrival <= t);
+        let hi = self.arrived(t);
+        let lo = self.window_start(t, hi);
         self.peers[lo..hi]
             .iter()
             .find(|p| p.ip == ip && p.active(t))

@@ -236,9 +236,12 @@ impl<'a> TrackerSim<'a> {
         } else {
             0
         };
-        let complete = swarm.seeder_count(t) as u32 + entity_seeders as u32;
-        let incomplete = swarm.leecher_count(t) as u32;
-        let active_total = swarm.active_count(t) + entity_seeders;
+        // Each count is two binary searches; take them once.
+        let active = swarm.active_count(t);
+        let seeders = swarm.seeder_count(t);
+        let complete = seeders as u32 + entity_seeders as u32;
+        let incomplete = (active - seeders) as u32;
+        let active_total = active + entity_seeders;
 
         let cap_before = peers.capacity();
         peers.reserve(numwant.min(active_total));
