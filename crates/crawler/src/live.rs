@@ -1,7 +1,8 @@
 //! Live-network crawling: the same §2 procedure against real TCP
-//! endpoints (a [`btpub_tracker::server::TrackerServer`] plus
-//! [`btpub_tracker::livepeer::LivePeer`]s), exercised by the
-//! `live_tracker` example and the workspace integration tests.
+//! endpoints (a [`btpub_tracker::serve::ServeDaemon`] with the torrents
+//! registered at runtime, plus [`btpub_tracker::livepeer::LivePeer`]s),
+//! exercised by the `live_tracker` example and the workspace
+//! integration tests.
 
 use std::io;
 use std::net::{SocketAddr, SocketAddrV4};
@@ -124,13 +125,13 @@ mod tests {
     use btpub_proto::metainfo::MetainfoBuilder;
     use btpub_proto::tracker::AnnounceEvent;
     use btpub_tracker::livepeer::LivePeer;
-    use btpub_tracker::server::TrackerServer;
+    use btpub_tracker::serve::{ServeConfig, ServeDaemon};
 
     /// End-to-end over real sockets: tracker + seeder + leecher, then the
     /// crawler identifies the seeder via bitfield probing.
     #[test]
     fn live_first_contact_identifies_seeder() {
-        let tracker = TrackerServer::start(42).unwrap();
+        let tracker = ServeDaemon::start(ServeConfig::new(42, 2, 0)).unwrap();
         let metainfo = MetainfoBuilder::new(&tracker.announce_url(), "live.test.file", 1 << 20)
             .piece_length(64 * 1024)
             .build();
@@ -208,7 +209,7 @@ mod tests {
 
     #[test]
     fn live_first_contact_skips_probing_with_multiple_seeders() {
-        let tracker = TrackerServer::start(43).unwrap();
+        let tracker = ServeDaemon::start(ServeConfig::new(43, 2, 0)).unwrap();
         let metainfo = MetainfoBuilder::new(&tracker.announce_url(), "multi.seed", 1 << 18)
             .piece_length(64 * 1024)
             .build();

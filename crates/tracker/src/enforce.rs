@@ -22,9 +22,12 @@
 //! in-process simulation is bit-for-bit unchanged: *exact-duplicate
 //! detection* ([`Enforcer::serving`]). A datagram retransmitted by a
 //! retry ladder arrives with the same `(client, torrent, t)` coordinates
-//! as the original; replaying it must neither mutate swarm state again
-//! nor earn a second strike, or a lossy network would push honest
-//! clients onto the blacklist and out of oracle parity.
+//! and the same event as the original; replaying it must neither mutate
+//! swarm state again nor earn a second strike, or a lossy network would
+//! push honest clients onto the blacklist and out of oracle parity. The
+//! event is part of the match because unscripted clients run on
+//! daemon-uptime seconds: a `stopped` sent in the same second as its
+//! `started` is a new announce, not a retransmit.
 
 use btpub_fxhash::{FxHashMap, FxHashSet};
 use btpub_sim::{SimDuration, SimTime, TorrentId};
@@ -47,7 +50,8 @@ pub enum Admission {
     /// Serve it; the rate-limit clock has been reset.
     Admit,
     /// Exact retransmit of an already-served announce (same client,
-    /// torrent and timestamp): re-serve without touching any state.
+    /// torrent, timestamp and event): re-serve without touching any
+    /// state.
     /// Only produced by [`Enforcer::serving`]-mode enforcers.
     Duplicate,
     /// Too soon; retry at the contained time.
@@ -65,14 +69,15 @@ pub enum Admission {
 /// trace instants (which both paths must emit identically): callers own
 /// their counters so `TrackerSim`'s report bytes stay pinned.
 pub struct Enforcer {
-    /// Last admitted (or exempt) query per (client, torrent).
-    last_query: FxHashMap<(ClientId, TorrentId), SimTime>,
+    /// Last admitted (or exempt) query per (client, torrent), packed as
+    /// `t << 2 | kind` so the entry stays 8 bytes (see [`Enforcer::admit`]).
+    last_query: FxHashMap<(ClientId, TorrentId), u64>,
     strikes: FxHashMap<ClientId, u32>,
     blacklisted: FxHashSet<ClientId>,
     /// Violations tolerated before blacklisting.
     max_strikes: u32,
-    /// Retransmit tolerance (serving mode): exact `(client, torrent, t)`
-    /// repeats are deduplicated instead of striked twice.
+    /// Retransmit tolerance (serving mode): exact `(client, torrent, t,
+    /// kind)` repeats are deduplicated instead of striked twice.
     dedup_exact: bool,
     /// When deduplicating, the timestamp of the last strike per
     /// (client, torrent), so a retransmitted violation strikes once.
@@ -122,6 +127,11 @@ impl Enforcer {
     /// Applies the rate-limit policy to one announce from `client` for
     /// `torrent` at time `t`, mutating the clock/strike state.
     ///
+    /// `kind` is the announce's event code (`0..4`, the BEP 15
+    /// numbering). In serving mode an announce is a
+    /// [`Admission::Duplicate`] only when both `t` and `kind` repeat the
+    /// last admitted one; the simulation tracker passes `0`.
+    ///
     /// The caller must have refused blacklisted clients (via
     /// [`is_blacklisted`](Self::is_blacklisted)) and unknown torrents
     /// *before* calling this — in that order, which is the precedence
@@ -138,13 +148,18 @@ impl Enforcer {
         client: ClientId,
         torrent: TorrentId,
         t: SimTime,
+        kind: u8,
         exempt: bool,
     ) -> Admission {
+        debug_assert!(kind < 4, "event code {kind} overflows the packed key");
+        // The top two bits of `t` fall off; no real clock reaches 2^62 s.
+        let packed = t.secs() << 2 | u64::from(kind);
         let interval = min_interval(t);
-        if let Some(&last) = self.last_query.get(&(client, torrent)) {
-            if self.dedup_exact && t == last {
+        if let Some(&last_packed) = self.last_query.get(&(client, torrent)) {
+            if self.dedup_exact && packed == last_packed {
                 return Admission::Duplicate;
             }
+            let last = SimTime(last_packed >> 2);
             let earliest = last + interval;
             if !exempt && t < earliest {
                 // Only egregious violations (re-query within half the
@@ -177,7 +192,7 @@ impl Enforcer {
                 return Admission::RateLimited { retry_at: earliest };
             }
         }
-        self.last_query.insert((client, torrent), t);
+        self.last_query.insert((client, torrent), packed);
         Admission::Admit
     }
 
@@ -220,13 +235,13 @@ mod tests {
     fn admit_then_rate_limited_then_admit() {
         let mut e = Enforcer::tracker();
         let t0 = SimTime(1000);
-        assert_eq!(e.admit(1, TorrentId(0), t0, false), Admission::Admit);
-        match e.admit(1, TorrentId(0), SimTime(1500), false) {
+        assert_eq!(e.admit(1, TorrentId(0), t0, 0, false), Admission::Admit);
+        match e.admit(1, TorrentId(0), SimTime(1500), 0, false) {
             Admission::RateLimited { retry_at } => assert!(retry_at > SimTime(1500)),
             other => panic!("expected rate limit, got {other:?}"),
         }
         assert_eq!(
-            e.admit(1, TorrentId(0), SimTime(1000 + 901), false),
+            e.admit(1, TorrentId(0), SimTime(1000 + 901), 0, false),
             Admission::Admit
         );
     }
@@ -235,10 +250,10 @@ mod tests {
     fn strikes_escalate_to_blacklist() {
         let mut e = Enforcer::tracker();
         let t0 = SimTime(0);
-        assert_eq!(e.admit(9, TorrentId(0), t0, false), Admission::Admit);
+        assert_eq!(e.admit(9, TorrentId(0), t0, 0, false), Admission::Admit);
         let mut blacklisted = false;
         for i in 1..100u64 {
-            match e.admit(9, TorrentId(0), SimTime(i), false) {
+            match e.admit(9, TorrentId(0), SimTime(i), 0, false) {
                 Admission::Blacklisted => {
                     blacklisted = true;
                     break;
@@ -251,38 +266,73 @@ mod tests {
         assert!(e.is_blacklisted(9));
         assert!(e.strikes_of(9) > e.max_strikes());
         // Polite clients unaffected.
-        assert_eq!(e.admit(10, TorrentId(0), SimTime(100), false), Admission::Admit);
+        assert_eq!(e.admit(10, TorrentId(0), SimTime(100), 0, false), Admission::Admit);
     }
 
     #[test]
     fn serving_mode_deduplicates_exact_retransmits() {
         let mut e = Enforcer::serving();
         let t = SimTime(5000);
-        assert_eq!(e.admit(3, TorrentId(1), t, false), Admission::Admit);
+        assert_eq!(e.admit(3, TorrentId(1), t, 0, false), Admission::Admit);
         // The retransmitted datagram carries identical coordinates.
-        assert_eq!(e.admit(3, TorrentId(1), t, false), Admission::Duplicate);
+        assert_eq!(e.admit(3, TorrentId(1), t, 0, false), Admission::Duplicate);
         assert_eq!(e.strikes_of(3), 0, "retransmit must not strike");
+    }
+
+    #[test]
+    fn serving_mode_dedup_needs_the_same_event() {
+        // A `stopped` (code 3) in the same second as its `started`
+        // (code 2) is a new announce, not a retransmit.
+        let mut e = Enforcer::serving();
+        let t = SimTime(7);
+        assert_eq!(e.admit(6, TorrentId(0), t, 2, false), Admission::Admit);
+        assert_eq!(e.admit(6, TorrentId(0), t, 3, true), Admission::Admit);
+        // Its retransmit is the duplicate.
+        assert_eq!(e.admit(6, TorrentId(0), t, 3, true), Admission::Duplicate);
+        // A different non-exempt event at the same second is a re-query
+        // inside the interval, not a duplicate.
+        assert!(matches!(
+            e.admit(6, TorrentId(0), t, 0, false),
+            Admission::RateLimited { .. }
+        ));
+        assert_eq!(e.strikes_of(6), 1);
+    }
+
+    #[test]
+    fn packed_clock_keeps_the_interval() {
+        // The kind bits must not leak into the rate-limit arithmetic.
+        let mut e = Enforcer::serving();
+        assert_eq!(e.admit(8, TorrentId(0), SimTime(1000), 3, true), Admission::Admit);
+        let iv = min_interval(SimTime(1000)).secs();
+        assert!(matches!(
+            e.admit(8, TorrentId(0), SimTime(1000 + iv - 1), 0, false),
+            Admission::RateLimited { .. }
+        ));
+        assert_eq!(
+            e.admit(8, TorrentId(0), SimTime(1000 + iv), 0, false),
+            Admission::Admit
+        );
     }
 
     #[test]
     fn serving_mode_strikes_once_per_violation_timestamp() {
         let mut e = Enforcer::serving();
-        assert_eq!(e.admit(4, TorrentId(0), SimTime(0), false), Admission::Admit);
+        assert_eq!(e.admit(4, TorrentId(0), SimTime(0), 0, false), Admission::Admit);
         // Egregious re-query — one strike…
         assert!(matches!(
-            e.admit(4, TorrentId(0), SimTime(10), false),
+            e.admit(4, TorrentId(0), SimTime(10), 0, false),
             Admission::RateLimited { .. }
         ));
         assert_eq!(e.strikes_of(4), 1);
         // …and its retransmit must not earn a second.
         assert!(matches!(
-            e.admit(4, TorrentId(0), SimTime(10), false),
+            e.admit(4, TorrentId(0), SimTime(10), 0, false),
             Admission::RateLimited { .. }
         ));
         assert_eq!(e.strikes_of(4), 1);
         // A genuinely new violation strikes again.
         assert!(matches!(
-            e.admit(4, TorrentId(0), SimTime(20), false),
+            e.admit(4, TorrentId(0), SimTime(20), 0, false),
             Admission::RateLimited { .. }
         ));
         assert_eq!(e.strikes_of(4), 2);
@@ -294,10 +344,10 @@ mod tests {
         // coordinates are genuine hammering and must strike each time —
         // pinning that the dedup layer changed nothing for TrackerSim.
         let mut e = Enforcer::tracker();
-        assert_eq!(e.admit(4, TorrentId(0), SimTime(0), false), Admission::Admit);
+        assert_eq!(e.admit(4, TorrentId(0), SimTime(0), 0, false), Admission::Admit);
         for _ in 0..3 {
             assert!(matches!(
-                e.admit(4, TorrentId(0), SimTime(10), false),
+                e.admit(4, TorrentId(0), SimTime(10), 0, false),
                 Admission::RateLimited { .. }
             ));
         }
@@ -307,13 +357,13 @@ mod tests {
     #[test]
     fn exempt_bypasses_rate_limit_but_resets_clock() {
         let mut e = Enforcer::serving();
-        assert_eq!(e.admit(5, TorrentId(0), SimTime(0), false), Admission::Admit);
+        assert_eq!(e.admit(5, TorrentId(0), SimTime(0), 0, false), Admission::Admit);
         // A completed event 30 s later is served…
-        assert_eq!(e.admit(5, TorrentId(0), SimTime(30), true), Admission::Admit);
+        assert_eq!(e.admit(5, TorrentId(0), SimTime(30), 0, true), Admission::Admit);
         assert_eq!(e.strikes_of(5), 0);
         // …and restarts the interval from t=30.
         assert!(matches!(
-            e.admit(5, TorrentId(0), SimTime(60), false),
+            e.admit(5, TorrentId(0), SimTime(60), 0, false),
             Admission::RateLimited { .. }
         ));
     }
@@ -321,11 +371,11 @@ mod tests {
     #[test]
     fn snapshot_is_sorted_and_complete() {
         let mut e = Enforcer::new(1, false);
-        e.admit(7, TorrentId(0), SimTime(0), false);
-        e.admit(7, TorrentId(0), SimTime(1), false); // strike 1
-        e.admit(7, TorrentId(0), SimTime(2), false); // strike 2 → blacklist
-        e.admit(2, TorrentId(0), SimTime(0), false);
-        e.admit(2, TorrentId(0), SimTime(1), false); // strike 1
+        e.admit(7, TorrentId(0), SimTime(0), 0, false);
+        e.admit(7, TorrentId(0), SimTime(1), 0, false); // strike 1
+        e.admit(7, TorrentId(0), SimTime(2), 0, false); // strike 2 → blacklist
+        e.admit(2, TorrentId(0), SimTime(0), 0, false);
+        e.admit(2, TorrentId(0), SimTime(1), 0, false); // strike 1
         let mut snap = Vec::new();
         e.snapshot_into(&mut snap);
         assert_eq!(snap, vec![(2, 1, false), (7, 2, true)]);

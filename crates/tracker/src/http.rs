@@ -20,70 +20,10 @@ pub struct Request {
     pub keep_alive: bool,
 }
 
-/// Reads one HTTP request from a buffered stream, leaving any pipelined
-/// follow-up requests in the reader's buffer. Returns `Ok(None)` on a
-/// clean EOF before a new request line (the keep-alive peer hung up).
-///
-/// GET only; a request body declared via `Content-Length` is drained so
-/// the next pipelined request still starts on a frame boundary.
-pub fn read_request_from<R: BufRead>(reader: &mut R) -> std::io::Result<Option<Request>> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(None);
-    }
-    let mut parts = line.split_whitespace();
-    let method = parts.next().unwrap_or_default();
-    let target = parts.next().unwrap_or_default().to_string();
-    let version = parts.next().unwrap_or_default();
-    // HTTP/1.1 keeps the connection open unless told otherwise;
-    // HTTP/1.0 closes unless asked to stay.
-    let mut keep_alive = version != "HTTP/1.0";
-    let mut content_length = 0usize;
-    let bad_method = method != "GET";
-    // Drain headers until the blank line.
-    loop {
-        let mut header = String::new();
-        let n = reader.read_line(&mut header)?;
-        if n == 0 || header == "\r\n" || header == "\n" {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            let value = value.trim();
-            if name.eq_ignore_ascii_case("connection") {
-                keep_alive = value.eq_ignore_ascii_case("keep-alive");
-            } else if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().unwrap_or(0);
-            }
-        }
-    }
-    // Consume any body so framing survives even a rejected request.
-    if content_length > 0 {
-        std::io::copy(
-            &mut reader.take(content_length as u64),
-            &mut std::io::sink(),
-        )?;
-    }
-    if bad_method {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("unsupported method {method:?}"),
-        ));
-    }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q.to_string()),
-        None => (target, String::new()),
-    };
-    Ok(Some(Request {
-        path,
-        query,
-        keep_alive,
-    }))
-}
-
 /// Attempts to parse one complete request from the front of `buf`
-/// without consuming from a stream — the readiness-loop variant of
-/// [`read_request_from`] for non-blocking sockets that accumulate bytes
-/// into per-connection buffers.
+/// without consuming from a stream — the serving daemon's non-blocking
+/// sockets accumulate bytes into per-connection buffers and call this
+/// until it stops returning requests.
 ///
 /// Returns `Ok(Some((request, consumed)))` when a whole request
 /// (headers plus any `Content-Length` body) is present, `Ok(None)` when
@@ -162,14 +102,6 @@ pub fn try_parse_request(buf: &[u8]) -> std::io::Result<Option<(Request, usize)>
     )))
 }
 
-/// Reads one HTTP request from a stream (one-shot convenience around
-/// [`read_request_from`]; EOF before a request is an error here).
-pub fn read_request<R: Read>(stream: R) -> std::io::Result<Request> {
-    read_request_from(&mut BufReader::new(stream))?.ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "no request")
-    })
-}
-
 /// Writes a `200 OK` response with a binary body. The exact
 /// `Content-Length` makes the response self-framing, so keep-alive
 /// clients know precisely where the next pipelined response begins.
@@ -244,10 +176,16 @@ pub fn read_response<R: Read>(stream: R) -> std::io::Result<Vec<u8>> {
 mod tests {
     use super::*;
 
+    /// The one complete request at the front of `raw`.
+    fn parse_one(raw: &[u8]) -> Request {
+        let (req, used) = try_parse_request(raw).unwrap().expect("complete request");
+        assert_eq!(used, raw.len());
+        req
+    }
+
     #[test]
     fn parses_get_with_query() {
-        let raw = b"GET /announce?a=1&b=2 HTTP/1.0\r\nHost: x\r\nUser-Agent: t\r\n\r\n";
-        let req = read_request(&raw[..]).unwrap();
+        let req = parse_one(b"GET /announce?a=1&b=2 HTTP/1.0\r\nHost: x\r\nUser-Agent: t\r\n\r\n");
         assert_eq!(req.path, "/announce");
         assert_eq!(req.query, "a=1&b=2");
         assert!(!req.keep_alive, "HTTP/1.0 defaults to close");
@@ -255,8 +193,7 @@ mod tests {
 
     #[test]
     fn parses_get_without_query() {
-        let raw = b"GET /scrape HTTP/1.1\r\n\r\n";
-        let req = read_request(&raw[..]).unwrap();
+        let req = parse_one(b"GET /scrape HTTP/1.1\r\n\r\n");
         assert_eq!(req.path, "/scrape");
         assert_eq!(req.query, "");
         assert!(req.keep_alive, "HTTP/1.1 defaults to keep-alive");
@@ -264,39 +201,39 @@ mod tests {
 
     #[test]
     fn connection_header_overrides_version_default() {
-        let raw = b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n";
-        assert!(!read_request(&raw[..]).unwrap().keep_alive);
-        let raw = b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n";
-        assert!(read_request(&raw[..]).unwrap().keep_alive);
+        assert!(!parse_one(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").keep_alive);
+        assert!(parse_one(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").keep_alive);
     }
 
     #[test]
     fn rejects_post() {
         let raw = b"POST /announce HTTP/1.0\r\n\r\n";
-        assert!(read_request(&raw[..]).is_err());
+        let err = try_parse_request(raw).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]
     fn pipelined_requests_parse_in_order() {
         let raw = b"GET /a?x=1 HTTP/1.1\r\n\r\nGET /b?y=2 HTTP/1.1\r\nConnection: close\r\n\r\n";
-        let mut reader = BufReader::new(&raw[..]);
-        let first = read_request_from(&mut reader).unwrap().unwrap();
+        let (first, used) = try_parse_request(raw).unwrap().unwrap();
         assert_eq!((first.path.as_str(), first.query.as_str()), ("/a", "x=1"));
         assert!(first.keep_alive);
-        let second = read_request_from(&mut reader).unwrap().unwrap();
+        let (second, used2) = try_parse_request(&raw[used..]).unwrap().unwrap();
         assert_eq!((second.path.as_str(), second.query.as_str()), ("/b", "y=2"));
         assert!(!second.keep_alive);
-        assert!(read_request_from(&mut reader).unwrap().is_none(), "clean EOF");
+        assert_eq!(used + used2, raw.len());
+        assert!(try_parse_request(&raw[used + used2..]).unwrap().is_none(), "nothing left");
     }
 
     #[test]
     fn request_body_is_drained_for_framing() {
         // A body between two pipelined requests must not desynchronise
-        // the parser.
+        // the parser: the first frame ends after its declared body.
         let raw = b"GET /a HTTP/1.1\r\nContent-Length: 5\r\n\r\nhelloGET /b HTTP/1.1\r\n\r\n";
-        let mut reader = BufReader::new(&raw[..]);
-        assert_eq!(read_request_from(&mut reader).unwrap().unwrap().path, "/a");
-        assert_eq!(read_request_from(&mut reader).unwrap().unwrap().path, "/b");
+        let (first, used) = try_parse_request(raw).unwrap().unwrap();
+        assert_eq!(first.path, "/a");
+        assert_eq!(&raw[used - 5..used], b"hello");
+        assert_eq!(parse_one(&raw[used..]).path, "/b");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # btpub-tracker
 //!
 //! Two tracker implementations sharing the paper-relevant semantics —
-//! random peer sampling capped at 200 addresses per reply, seeder/leecher
+//! peer sampling capped at 200 addresses per reply, seeder/leecher
 //! counters, and per-client rate limiting with blacklisting:
 //!
 //! * [`sim::TrackerSim`] answers queries against a generated
@@ -13,23 +13,22 @@
 //!   layer a deterministic `btpub_faults::FaultPlan` over both paths —
 //!   downtime windows, dropped announces, corrupted replies, failed
 //!   probe connections.
-//! * [`server::TrackerServer`] is a real TCP/HTTP tracker speaking the
-//!   `btpub-proto` wire formats over sockets, backed by [`registry`]; the
-//!   [`client`] module is its blocking HTTP client. The `live_tracker`
-//!   example runs the crawler against it end-to-end.
-//! * [`udp_server::UdpTrackerServer`] speaks BEP 15 (the UDP tracker
-//!   protocol OpenBitTorrent primarily served), optionally sharing swarm
-//!   state with the HTTP endpoint.
 //! * [`livepeer`] hosts TCP peers — bitfield-only for §2 probing, or full
 //!   piece-serving seeders — plus the probe client and a verifying
 //!   download client ([`livepeer::download_from_peer`], §5's fake-content
 //!   check).
-//! * [`serve`] is the production path: a long-lived multi-threaded
+//! * [`serve`] is the one real tracker: a long-lived multi-threaded
 //!   daemon ([`serve::ServeDaemon`], the `btpub-serve` bin) over sharded
 //!   swarm state with BEP-15 UDP and keep-alive HTTP front ends, plus
 //!   the deterministic load generator ([`serve::load`], `btpub-load`)
 //!   whose logical-clock announce scripts make the daemon's final
-//!   snapshot byte-comparable to an in-process oracle.
+//!   snapshot byte-comparable to an in-process oracle. The live
+//!   testbed (the `live_tracker` example, the crawler's
+//!   `live::first_contact` tests) runs on the same daemon, registering
+//!   real `.torrent` info hashes at runtime with
+//!   [`serve::ServeDaemon::register`].
+//! * [`client`] and [`udp_client`] are the blocking HTTP and BEP 15
+//!   clients that talk to it.
 //!
 //! The rate-limit clock, strike ladder and blacklist live in
 //! [`enforce::Enforcer`], shared verbatim by [`sim::TrackerSim`] and the
@@ -39,11 +38,9 @@ pub mod client;
 pub mod enforce;
 pub mod http;
 pub mod livepeer;
-pub mod registry;
 pub mod serve;
-pub mod server;
 pub mod sim;
-pub mod udp_server;
+pub mod udp_client;
 
 pub use sim::{ProbeOutcome, QueryError, ReplyCounts, TrackerReply, TrackerSim};
 

@@ -26,7 +26,7 @@ use btpub_proto::tracker::{AnnounceRequest, AnnounceResponse};
 use btpub_proto::udp_tracker::{UdpRequest, UdpResponse};
 
 use crate::client::HttpSession;
-use crate::udp_server::client as udp_client;
+use crate::udp_client;
 
 use super::script::{Op, Script};
 use super::wire::{self, Class};

@@ -1,12 +1,14 @@
 //! `btpub-serve`: the long-lived, multi-threaded tracker daemon.
 //!
 //! The in-process [`crate::sim::TrackerSim`] models one tracker for one
-//! simulated crawl; [`crate::server`]/[`crate::udp_server`] put a real
-//! socket in front of a single global registry mutex. This module is the
-//! production story: swarm state sharded across locks
-//! ([`shard::Plane`]), a BEP 15 UDP fast path plus an HTTP/1.1
-//! keep-alive front end sharing that plane, and the fault/enforcement
-//! machinery (`btpub-faults`) applied on the network path itself.
+//! simulated crawl; this module is the one tracker on real sockets, for
+//! production load and for the live testbed alike: swarm state sharded
+//! across locks ([`shard::Plane`]), a BEP 15 UDP fast path plus an
+//! HTTP/1.1 keep-alive front end sharing that plane, and the
+//! fault/enforcement machinery (`btpub-faults`) applied on the network
+//! path itself. Scripted runs pre-register torrents `0..torrents`; the
+//! live testbed registers real `.torrent` info hashes at runtime
+//! ([`ServeDaemon::register`]).
 //!
 //! Everything is plain std sockets on readiness loops — no async
 //! runtime. UDP workers share one non-blocking socket and burst-drain
@@ -19,7 +21,9 @@
 //! HTTP via a `&t=` query parameter), so admission decisions depend only
 //! on announce content, never on wall-clock arrival time. That is what
 //! makes the daemon's final swarm snapshot comparable byte-for-byte
-//! against an in-process oracle — see `DESIGN.md`.
+//! against an in-process oracle — see `DESIGN.md`. Unscripted clients
+//! (real BitTorrent clients, the live crawler) omit the extensions and
+//! run on daemon-uptime seconds.
 
 pub mod load;
 pub mod oracle;
@@ -109,8 +113,15 @@ pub struct ServeDaemon {
     secret: u64,
 }
 
-/// Stateless BEP 15 connection id (same scheme as
-/// [`crate::udp_server`]): hash of the secret and the client address.
+/// Most peers in one BEP 15 announce reply: 20 B header + 74 × 6 B =
+/// 464 B, under the 508-byte UDP payload that survives any path MTU
+/// without fragmentation. HTTP replies are capped at
+/// [`crate::MAX_NUMWANT`] instead.
+const MAX_UDP_PEERS: usize = 74;
+
+/// Stateless BEP 15 connection id: hash of the secret and the client
+/// address. Real trackers rotate the secret every couple of minutes;
+/// the daemon keeps one epoch.
 fn connection_id(secret: u64, client: SocketAddr) -> u64 {
     let ip = match client {
         SocketAddr::V4(v4) => u64::from(u32::from(*v4.ip())),
@@ -217,6 +228,12 @@ impl ServeDaemon {
     /// The connection id the daemon would issue to `client`.
     pub fn expected_connection_id(&self, client: SocketAddr) -> u64 {
         connection_id(self.secret, client)
+    }
+
+    /// Registers a torrent at runtime (see [`Plane::register`]): only
+    /// registered torrents accept announces.
+    pub fn register(&self, info_hash: InfoHash) {
+        self.plane.register(info_hash);
     }
 
     /// Stops accepting, drains every worker's pending input, joins all
@@ -425,8 +442,9 @@ fn handle_datagram(
                 let out = outcomes[0];
                 match out.class {
                     Class::Admitted | Class::Duplicate => {
-                        let numwant = if num_want == u32::MAX { 50 } else { num_want };
-                        plane.sample_peers(&info_hash, numwant.min(74) as usize, peers);
+                        let numwant = if num_want == u32::MAX { 50 } else { num_want as usize };
+                        let numwant = numwant.min(MAX_UDP_PEERS);
+                        plane.sample_peers(&info_hash, &peer_id, numwant, peers);
                         Some(UdpResponse::Announce {
                             transaction_id,
                             interval: min_interval(SimTime(t)).secs() as u32,
@@ -846,7 +864,8 @@ fn announce_http(
     let failure = |msg: &str| AnnounceResponse::Failure(msg.into()).encode();
     match out.class {
         Class::Admitted | Class::Duplicate => {
-            plane.sample_peers(&req.info_hash, (req.numwant as usize).min(74), peers);
+            let numwant = (req.numwant as usize).min(crate::MAX_NUMWANT);
+            plane.sample_peers(&req.info_hash, &req.peer_id, numwant, peers);
             AnnounceResponse::Ok {
                 interval: min_interval(SimTime(t)).secs() as u32,
                 complete: out.complete,
@@ -878,14 +897,17 @@ fn announce_http(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btpub_proto::tracker::AnnounceEvent;
+    use crate::udp_client;
+    use btpub_proto::tracker::{AnnounceEvent, ScrapeEntry};
+    use btpub_proto::types::PeerId;
+    use std::io::BufReader;
     use wire::{info_hash_for, peer_id_for};
 
     fn daemon(seed: u64, shards: usize, torrents: u32) -> ServeDaemon {
         ServeDaemon::start(ServeConfig::new(seed, shards, torrents)).unwrap()
     }
 
-    fn udp_client() -> UdpSocket {
+    fn udp_socket() -> UdpSocket {
         let s = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         s
@@ -894,7 +916,7 @@ mod tests {
     #[test]
     fn udp_batch_roundtrip() {
         let d = daemon(11, 4, 8);
-        let sock = udp_client();
+        let sock = udp_socket();
         let items: Vec<AnnounceItem> = (0..10u32)
             .map(|i| AnnounceItem {
                 info_hash: info_hash_for(11, i % 8),
@@ -920,8 +942,8 @@ mod tests {
     #[test]
     fn bep15_announce_with_logical_clock() {
         let d = daemon(12, 2, 4);
-        let sock = udp_client();
-        let cid = crate::udp_server::client::connect(&sock, d.udp_addr(), 1).unwrap();
+        let sock = udp_socket();
+        let cid = udp_client::connect(&sock, d.udp_addr(), 1).unwrap();
         assert_eq!(
             cid,
             d.expected_connection_id(sock.local_addr().unwrap())
@@ -970,7 +992,7 @@ mod tests {
     #[test]
     fn forged_connection_id_rejected() {
         let d = daemon(13, 1, 1);
-        let sock = udp_client();
+        let sock = udp_socket();
         let req = UdpRequest::Announce {
             connection_id: 0xDEAD,
             transaction_id: 3,
@@ -1100,6 +1122,144 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// An unscripted announce (no `&t=`/`&ip=` extensions): the live
+    /// testbed's shape, on the daemon's uptime clock.
+    fn live_announce(ih: InfoHash, id: u8, left: u64) -> AnnounceRequest {
+        AnnounceRequest {
+            info_hash: ih,
+            peer_id: PeerId([id; 20]),
+            port: 6881 + u16::from(id),
+            uploaded: 0,
+            downloaded: 0,
+            left,
+            event: AnnounceEvent::Started,
+            numwant: 50,
+            compact: true,
+        }
+    }
+
+    #[test]
+    fn pipelined_requests_answered_in_order() {
+        let d = daemon(19, 2, 0);
+        let ih = InfoHash([6; 20]);
+        d.register(ih);
+        let stream = TcpStream::connect(d.tcp_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // Three announces written back-to-back before reading anything:
+        // each response is framed by an exact Content-Length and they
+        // come back in request order.
+        let mut wire = Vec::new();
+        for (id, left) in [(1u8, 0u64), (2, 100), (3, 100)] {
+            let q = live_announce(ih, id, left).to_query();
+            write!(wire, "GET /announce?{q} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        }
+        (&stream).write_all(&wire).unwrap();
+        let mut reader = BufReader::new(&stream);
+        let mut seen = Vec::new();
+        for _ in 0..3 {
+            let body = http::read_response_from(&mut reader).unwrap();
+            match AnnounceResponse::decode(&body).unwrap() {
+                AnnounceResponse::Ok {
+                    complete,
+                    incomplete,
+                    ..
+                } => seen.push((complete, incomplete)),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        // Responses arrive in request order: the swarm grows monotonically.
+        assert_eq!(seen, vec![(1, 0), (1, 1), (1, 2)]);
+    }
+
+    #[test]
+    fn http_1_0_connection_closes_after_response() {
+        let d = daemon(20, 2, 0);
+        let ih = InfoHash([7; 20]);
+        d.register(ih);
+        let stream = TcpStream::connect(d.tcp_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let q = live_announce(ih, 1, 0).to_query();
+        write!(&stream, "GET /announce?{q} HTTP/1.0\r\n\r\n").unwrap();
+        let mut reader = BufReader::new(&stream);
+        let body = http::read_response_from(&mut reader).unwrap();
+        assert!(AnnounceResponse::decode(&body).is_ok());
+        // The daemon hangs up: the next read sees EOF.
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty());
+    }
+
+    #[test]
+    fn udp_announce_lifecycle() {
+        let d = daemon(21, 2, 0);
+        let ih = InfoHash([7; 20]);
+        d.register(ih);
+        let announce = |id: u8, left: u64, ih: InfoHash| {
+            udp_client::announce(
+                d.udp_addr(),
+                ih,
+                PeerId([id; 20]),
+                6880 + u16::from(id),
+                left,
+                AnnounceEvent::Started,
+                50,
+            )
+        };
+        // Seeder announces.
+        let out = announce(1, 0, ih).unwrap();
+        assert_eq!((out.seeders, out.leechers), (1, 0));
+        assert!(out.peers.is_empty(), "no other peers yet");
+        // Uptime clock, first hour: hour 0's interval.
+        assert_eq!(u64::from(out.interval), min_interval(SimTime(0)).secs());
+        // Leecher announces and sees the seeder, not itself.
+        let out = announce(2, 100, ih).unwrap();
+        assert_eq!((out.seeders, out.leechers), (1, 1));
+        assert_eq!(out.peers.len(), 1);
+        assert_eq!(out.peers[0].port(), 6881);
+        // An unregistered torrent is a BEP 15 error reply.
+        let err = announce(3, 0, InfoHash([0xEE; 20])).unwrap_err();
+        assert!(err.to_string().contains("not registered"), "{err}");
+    }
+
+    #[test]
+    fn udp_scrape_counts() {
+        let d = daemon(22, 2, 0);
+        let ih = InfoHash([8; 20]);
+        d.register(ih);
+        for (id, event) in [(1u8, AnnounceEvent::Started), (2, AnnounceEvent::Completed)] {
+            udp_client::announce(d.udp_addr(), ih, PeerId([id; 20]), 1, 0, event, 0).unwrap();
+        }
+        let entries = udp_client::scrape(d.udp_addr(), vec![ih, InfoHash([9; 20])]).unwrap();
+        assert_eq!(entries.len(), 2);
+        assert_eq!((entries[0].complete, entries[0].downloaded), (2, 1));
+        assert_eq!(entries[1], ScrapeEntry::default(), "unknown hash zeroed");
+    }
+
+    #[test]
+    fn udp_announce_visible_to_http_scrape() {
+        // One swarm state, two protocols — as OpenBitTorrent ran it.
+        let d = daemon(23, 2, 0);
+        let ih = InfoHash([3; 20]);
+        d.register(ih);
+        udp_client::announce(d.udp_addr(), ih, PeerId([1; 20]), 7000, 0, AnnounceEvent::Started, 0)
+            .unwrap();
+        let scrape = crate::client::scrape(&d.announce_url(), &[ih]).unwrap();
+        let entry = ScrapeEntry {
+            complete: 1,
+            downloaded: 0,
+            incomplete: 0,
+        };
+        assert_eq!(scrape.files, vec![(ih, entry)]);
+    }
+
+    #[test]
+    fn connection_ids_differ_per_client() {
+        let d = daemon(24, 1, 0);
+        let a: SocketAddr = "127.0.0.1:5001".parse().unwrap();
+        let b: SocketAddr = "127.0.0.1:5002".parse().unwrap();
+        assert_ne!(d.expected_connection_id(a), d.expected_connection_id(b));
+    }
+
     #[test]
     fn port_in_use_surfaces_as_bind_error() {
         let holder = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
@@ -1116,7 +1276,7 @@ mod tests {
     #[test]
     fn garbage_udp_is_counted_not_fatal() {
         let d = daemon(17, 1, 2);
-        let sock = udp_client();
+        let sock = udp_socket();
         sock.send_to(&wire::garbage(17, 0), d.udp_addr()).unwrap();
         // The daemon answers a polite error while the breaker is closed.
         let mut buf = [0u8; 512];

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use btpub_faults::{key, points, BreakerState, CircuitBreaker, FaultPlan, FaultProfile};
 use btpub_fxhash::{FxHashMap, FxHashSet, FxHasher};
@@ -38,7 +38,7 @@ use btpub_sim::{SimTime, TorrentId};
 
 use crate::enforce::{Admission, Enforcer};
 
-use super::wire::{info_hash_for, AnnounceItem, Class, Outcome};
+use super::wire::{client_of, event_code, info_hash_for, AnnounceItem, Class, Outcome};
 
 /// Configuration of a [`Plane`].
 #[derive(Debug, Clone)]
@@ -204,8 +204,10 @@ const GARBAGE_SEEN_CAP: usize = 65_536;
 /// than a comparison of two unrelated implementations.
 pub struct Plane {
     cfg: PlaneConfig,
-    /// Registered torrents, frozen at construction: lock-free reads.
-    registered: FxHashSet<InfoHash>,
+    /// Registered torrents: the scripted `0..torrents` from
+    /// construction plus any added by [`Plane::register`]. Read once per
+    /// batch, written only on registration.
+    registered: RwLock<FxHashSet<InfoHash>>,
     swarms: Vec<Mutex<SwarmShard>>,
     enforce: Vec<Mutex<EnforceStripe>>,
     faults: Option<FaultPlan>,
@@ -263,7 +265,7 @@ impl Plane {
             .map(|i| btpub_obs::counter(&format!("serve.shard.{i}.announces")))
             .collect();
         Plane {
-            registered,
+            registered: RwLock::new(registered),
             swarms,
             enforce,
             faults,
@@ -297,7 +299,16 @@ impl Plane {
 
     /// Whether `info_hash` is registered.
     pub fn is_registered(&self, ih: &InfoHash) -> bool {
-        self.registered.contains(ih)
+        self.registered.read().contains(ih)
+    }
+
+    /// Registers a torrent at runtime, so announces for it are served.
+    /// A live `.torrent`'s info hash is a SHA-1, not one of the scripted
+    /// [`info_hash_for`] ids. Runtime-registered torrents are served and
+    /// scraped like scripted ones but do not appear in [`Plane::snapshot`],
+    /// which lists the scripted `0..torrents` only.
+    pub fn register(&self, ih: InfoHash) {
+        self.registered.write().insert(ih);
     }
 
     /// Applies a batch of announces in arrival order, writing one
@@ -323,6 +334,7 @@ impl Plane {
         // the same class, but not re-counted (rare, so the Vec usually
         // never allocates).
         let mut recounted: Vec<usize> = Vec::new();
+        let registered = self.registered.read();
         // Phase 1: admission, one pass per enforcement stripe.
         for stripe in 0..shards {
             let mut guard = None;
@@ -334,7 +346,7 @@ impl Plane {
                 let (class, fresh) = {
                     let stripe_state =
                         guard.get_or_insert_with(|| self.enforce[stripe].lock());
-                    self.admit(stripe_state, item)
+                    self.admit(stripe_state, item, &registered)
                 };
                 out[i].class = class;
                 if !fresh {
@@ -342,6 +354,7 @@ impl Plane {
                 }
             }
         }
+        drop(registered);
         recounted.sort_unstable();
         // Phase 2: application, one pass per swarm shard.
         for shard in 0..shards {
@@ -427,8 +440,13 @@ impl Plane {
     /// rate-limit) is exactly `TrackerSim`'s. The second return value is
     /// `false` when the refusal is an exact retransmit that must not be
     /// counted again.
-    fn admit(&self, stripe: &mut EnforceStripe, item: &AnnounceItem) -> (Class, bool) {
-        let class = self.classify(&mut stripe.enf, item);
+    fn admit(
+        &self,
+        stripe: &mut EnforceStripe,
+        item: &AnnounceItem,
+        registered: &FxHashSet<InfoHash>,
+    ) -> (Class, bool) {
+        let class = self.classify(&mut stripe.enf, item, registered);
         match class {
             Class::Admitted | Class::Duplicate => (class, true),
             _ => {
@@ -452,7 +470,12 @@ impl Plane {
         }
     }
 
-    fn classify(&self, enf: &mut Enforcer, item: &AnnounceItem) -> Class {
+    fn classify(
+        &self,
+        enf: &mut Enforcer,
+        item: &AnnounceItem,
+        registered: &FxHashSet<InfoHash>,
+    ) -> Class {
         let client = item.client();
         let torrent = item.torrent();
         if let Some(plan) = &self.faults {
@@ -467,7 +490,7 @@ impl Plane {
         if enf.is_blacklisted(client) {
             return Class::Blacklisted;
         }
-        if !self.registered.contains(&item.info_hash) {
+        if !registered.contains(&item.info_hash) {
             return Class::Unknown;
         }
         // Lifecycle completions/departures are never throttled — a real
@@ -476,7 +499,8 @@ impl Plane {
             item.event,
             AnnounceEvent::Completed | AnnounceEvent::Stopped
         );
-        match enf.admit(client, TorrentId(torrent), SimTime(item.t), exempt) {
+        let kind = event_code(item.event);
+        match enf.admit(client, TorrentId(torrent), SimTime(item.t), kind, exempt) {
             Admission::Admit => Class::Admitted,
             Admission::Duplicate => Class::Duplicate,
             Admission::RateLimited { .. } => Class::RateLimited,
@@ -484,13 +508,22 @@ impl Plane {
         }
     }
 
-    /// Samples up to `numwant` peers of `ih` for a reply. Not part of
-    /// snapshot equality (real trackers randomise; we take table order).
-    pub fn sample_peers(&self, ih: &InfoHash, numwant: usize, peers: &mut Vec<SocketAddrV4>) {
+    /// Samples up to `numwant` peers of `ih` other than `requester` for
+    /// a reply. Not part of snapshot equality (real trackers randomise;
+    /// we take table order).
+    pub fn sample_peers(
+        &self,
+        ih: &InfoHash,
+        requester: &PeerId,
+        numwant: usize,
+        peers: &mut Vec<SocketAddrV4>,
+    ) {
         peers.clear();
         let shard = self.swarms[shard_of(ih, self.cfg.shards)].lock();
         if let Some(swarm) = shard.swarms.get(ih) {
-            for slot in swarm.peers.values().take(numwant) {
+            let me = shard.interner.lookup(requester);
+            let others = swarm.peers.iter().filter(|(&sym, _)| Some(sym) != me);
+            for (_, slot) in others.take(numwant) {
                 peers.push(SocketAddrV4::new(slot.ip.into(), slot.port));
             }
         }
@@ -584,8 +617,8 @@ impl Plane {
             .collect()
     }
 
-    /// The canonical swarm snapshot: every registered torrent with
-    /// state, peers sorted by peer id; every client with strikes or a
+    /// The canonical swarm snapshot: every scripted torrent with state,
+    /// peers sorted by `(client, peer id)`; every client with strikes or a
     /// blacklist entry; the deterministic counters. Two planes that
     /// processed the same per-client announce sequences produce
     /// byte-identical snapshots **regardless of shard count or
@@ -631,12 +664,12 @@ impl Plane {
                     .iter()
                     .map(|(&sym, &slot)| (*shard.interner.resolve(sym), slot)),
             );
-            peers.sort_unstable_by_key(|a| a.0 .0);
+            peers.sort_unstable_by_key(|a| (client_of(&a.0), a.0 .0));
             for (pid, slot) in &peers {
                 let _ = writeln!(
                     out,
                     "  peer {} ip={} port={} left={}",
-                    super::wire::client_of(pid),
+                    client_of(pid),
                     slot.ip,
                     slot.port,
                     slot.left
@@ -887,6 +920,66 @@ mod tests {
         let c = plane.counts();
         assert_eq!(c.down, down);
         assert_eq!(c.dropped, dropped);
+    }
+
+    #[test]
+    fn sample_peers_excludes_requester_and_respects_numwant() {
+        let plane = Plane::new(PlaneConfig::new(6, 2, 2));
+        let mut out = Vec::new();
+        let items: Vec<AnnounceItem> = (0..60u32)
+            .map(|c| item(6, c, 1, 100, AnnounceEvent::Started, 10))
+            .collect();
+        plane.apply_batch(&items, &mut out);
+        assert!(out.iter().all(|o| o.class == Class::Admitted));
+        let ih = info_hash_for(6, 1);
+        let me = peer_id_for(7);
+        let mut peers = Vec::new();
+        plane.sample_peers(&ih, &me, 25, &mut peers);
+        assert_eq!(peers.len(), 25);
+        let unique: FxHashSet<_> = peers.iter().collect();
+        assert_eq!(unique.len(), 25, "sample has no duplicates");
+        // Asking for everything returns every *other* peer: 59, never
+        // the requester's own address (ip = client id = 7).
+        plane.sample_peers(&ih, &me, 200, &mut peers);
+        assert_eq!(peers.len(), 59);
+        assert!(peers.iter().all(|a| u32::from(*a.ip()) != 7));
+        // A requester that never announced excludes nobody.
+        plane.sample_peers(&ih, &peer_id_for(999), 200, &mut peers);
+        assert_eq!(peers.len(), 60);
+    }
+
+    #[test]
+    fn runtime_registration_serves_unscripted_hashes() {
+        let plane = Plane::new(PlaneConfig::new(8, 2, 0));
+        let ih = InfoHash([0xAB; 20]);
+        let mut it = item(8, 1, 0, 100, AnnounceEvent::Started, 0);
+        it.info_hash = ih;
+        let mut out = Vec::new();
+        plane.apply_batch(std::slice::from_ref(&it), &mut out);
+        assert_eq!(out[0].class, Class::Unknown);
+        assert!(!plane.is_registered(&ih));
+        plane.register(ih);
+        assert!(plane.is_registered(&ih));
+        it.t = 101; // not a retransmit of the refused probe
+        plane.apply_batch(std::slice::from_ref(&it), &mut out);
+        assert_eq!(out[0].class, Class::Admitted);
+        assert_eq!(plane.scrape(&ih).complete, 1);
+    }
+
+    #[test]
+    fn same_second_stop_leaves_the_swarm() {
+        // An unscripted client's `stopped` in the same uptime second as
+        // its `started` is a new event, not a retransmit.
+        let plane = Plane::new(PlaneConfig::new(9, 2, 1));
+        let mut out = Vec::new();
+        plane.apply_batch(&[item(9, 4, 0, 3, AnnounceEvent::Started, 100)], &mut out);
+        assert_eq!((out[0].complete, out[0].incomplete), (0, 1));
+        plane.apply_batch(&[item(9, 4, 0, 3, AnnounceEvent::Stopped, 100)], &mut out);
+        assert_eq!(out[0].class, Class::Admitted);
+        assert_eq!((out[0].complete, out[0].incomplete), (0, 0));
+        // The stop's retransmit is the duplicate.
+        plane.apply_batch(&[item(9, 4, 0, 3, AnnounceEvent::Stopped, 100)], &mut out);
+        assert_eq!(out[0].class, Class::Duplicate);
     }
 
     #[test]

@@ -11,13 +11,15 @@
 //!    decoders ignore trailing bytes, so the timestamp rides there
 //!    ([`append_sim_time`]/[`sim_time_ext`]); over HTTP it rides in a
 //!    `&t=` query parameter real trackers would ignore.
-//! 2. **Identity conventions.** The announcing client id is the first
-//!    four bytes of its peer id ([`client_of`]/[`peer_id_for`]), and a
-//!    torrent's info-hash embeds its torrent id in the leading four
-//!    bytes ([`info_hash_for`]/[`torrent_of`]) with the remaining
-//!    sixteen derived from the serving seed — the daemon can recover
-//!    the `(client, torrent, t)` fault-draw coordinates from any
-//!    datagram without a lookup table.
+//! 2. **Identity conventions.** The announcing client id is the XOR of
+//!    its peer id's five big-endian words ([`client_of`]), so every byte
+//!    of a real client's id counts — two `-UT2210-` peers are two
+//!    clients. Scripted peer ids ([`peer_id_for`]) are built so the fold
+//!    returns the scripted client id. A torrent's info-hash embeds its
+//!    torrent id in the leading four bytes ([`info_hash_for`]/
+//!    [`torrent_of`]) with the remaining sixteen derived from the
+//!    serving seed — the daemon can recover the `(client, torrent, t)`
+//!    fault-draw coordinates from any datagram without a lookup table.
 //! 3. **The batch announce frame.** The throughput path packs up to
 //!    [`MAX_BATCH`] announces into one datagram with a one-byte outcome
 //!    class per item in the response ([`encode_batch`]/[`decode_batch`]
@@ -50,7 +52,7 @@ pub const OUTCOME_LEN: usize = 9;
 pub struct AnnounceItem {
     /// Torrent being announced.
     pub info_hash: InfoHash,
-    /// Announcing peer (client id in the first four bytes).
+    /// Announcing peer (its client id is [`client_of`] this).
     pub peer_id: PeerId,
     /// Simulated timestamp, seconds.
     pub t: u64,
@@ -65,7 +67,7 @@ pub struct AnnounceItem {
 }
 
 impl AnnounceItem {
-    /// The announcing client id (leading peer-id bytes).
+    /// The announcing client id (the peer id's word fold).
     pub fn client(&self) -> u32 {
         client_of(&self.peer_id)
     }
@@ -128,22 +130,44 @@ pub struct Outcome {
     pub incomplete: u32,
 }
 
-/// Derives the peer id a scripted client announces with: client id in
-/// the leading four bytes (the [`client_of`] convention), the rest
-/// seeded filler.
+/// Derives the peer id a scripted client announces with: seeded filler
+/// in bytes 4..20, and in bytes 0..4 the client id XOR the filler's
+/// fold, so [`client_of`] gives the client id back.
 pub fn peer_id_for(client: u32) -> PeerId {
     let mut id = [0u8; 20];
-    id[..4].copy_from_slice(&client.to_be_bytes());
     let fill = mix(u64::from(client), "serve.peer_id", 0);
     for (i, b) in id[4..].iter_mut().enumerate() {
         *b = (fill >> ((i % 8) * 8)) as u8;
     }
+    let head = client ^ fold_words(&id[4..]);
+    id[..4].copy_from_slice(&head.to_be_bytes());
     PeerId(id)
 }
 
-/// The client id encoded in a peer id's leading bytes.
+/// The client id of a peer id: the XOR of its five big-endian `u32`
+/// words. Every byte counts, so real clients that share an
+/// Azureus-style build prefix (`-CC0001-…`) stay distinct clients for
+/// rate limiting and swarm membership.
 pub fn client_of(peer_id: &PeerId) -> u32 {
-    u32::from_be_bytes([peer_id.0[0], peer_id.0[1], peer_id.0[2], peer_id.0[3]])
+    fold_words(&peer_id.0)
+}
+
+/// XOR of the big-endian `u32` words of `bytes` (length a multiple of 4).
+fn fold_words(bytes: &[u8]) -> u32 {
+    bytes
+        .chunks_exact(4)
+        .fold(0, |acc, w| acc ^ u32::from_be_bytes([w[0], w[1], w[2], w[3]]))
+}
+
+/// The wire code of an announce event — the BEP 15 numbering, which the
+/// batch frame reuses and the enforcer packs into its dedup key.
+pub fn event_code(event: AnnounceEvent) -> u8 {
+    match event {
+        AnnounceEvent::Interval => 0,
+        AnnounceEvent::Completed => 1,
+        AnnounceEvent::Started => 2,
+        AnnounceEvent::Stopped => 3,
+    }
 }
 
 /// Derives the info-hash of scripted torrent `id`: the id in the leading
@@ -203,13 +227,7 @@ pub fn encode_batch(transaction_id: u32, items: &[AnnounceItem]) -> Vec<u8> {
         buf.extend_from_slice(&item.peer_id.0);
         buf.extend_from_slice(&item.t.to_be_bytes());
         buf.extend_from_slice(&item.left.to_be_bytes());
-        let event = match item.event {
-            AnnounceEvent::Interval => 0u32,
-            AnnounceEvent::Completed => 1,
-            AnnounceEvent::Started => 2,
-            AnnounceEvent::Stopped => 3,
-        };
-        buf.extend_from_slice(&event.to_be_bytes());
+        buf.extend_from_slice(&u32::from(event_code(item.event)).to_be_bytes());
         buf.extend_from_slice(&item.ip.to_be_bytes());
         buf.extend_from_slice(&item.port.to_be_bytes());
     }
@@ -329,12 +347,18 @@ mod tests {
     use btpub_proto::udp_tracker::{UdpRequest, UdpResponse};
 
     fn item(i: u32) -> AnnounceItem {
+        let events = [
+            AnnounceEvent::Interval,
+            AnnounceEvent::Completed,
+            AnnounceEvent::Started,
+            AnnounceEvent::Stopped,
+        ];
         AnnounceItem {
             info_hash: info_hash_for(7, i),
             peer_id: peer_id_for(100 + i),
             t: 1000 + u64::from(i),
             left: u64::from(i % 2) * 512,
-            event: AnnounceEvent::Started,
+            event: events[i as usize % 4],
             ip: 0x0A00_0000 | i,
             port: 6881,
         }
@@ -373,7 +397,10 @@ mod tests {
 
     #[test]
     fn identity_conventions_roundtrip() {
-        for client in [0u32, 1, 0xF000_0001, u32::MAX] {
+        for client in [0u32, 1, 1000, 0xF000_0001, u32::MAX] {
+            assert_eq!(client_of(&peer_id_for(client)), client);
+        }
+        for client in (0..u32::MAX).step_by(65_537) {
             assert_eq!(client_of(&peer_id_for(client)), client);
         }
         for id in [0u32, 7, 9999] {
@@ -381,6 +408,20 @@ mod tests {
             // Different seeds give different hashes for the same id.
             assert_ne!(info_hash_for(11, id), info_hash_for(12, id));
         }
+    }
+
+    #[test]
+    fn client_of_reads_the_whole_peer_id() {
+        // Two builds of one client share the 8-byte Azureus prefix; the
+        // random tail must still tell the peers apart.
+        let a = PeerId::azureus_style("CC", "0001", [1; 12]);
+        let b = PeerId::azureus_style("CC", "0001", [2; 12]);
+        assert_eq!(a.0[..8], b.0[..8]);
+        assert_ne!(client_of(&a), client_of(&b));
+        let clients: std::collections::HashSet<u32> = (0..16u8)
+            .map(|i| client_of(&PeerId::azureus_style("CC", "0001", [i; 12])))
+            .collect();
+        assert_eq!(clients.len(), 16, "16 peers of one build are 16 clients");
     }
 
     #[test]

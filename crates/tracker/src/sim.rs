@@ -217,7 +217,7 @@ impl<'a> TrackerSim<'a> {
             return Err(QueryError::UnknownTorrent);
         }
         let interval = self.min_interval(t);
-        match self.enforce.admit(client, torrent, t, false) {
+        match self.enforce.admit(client, torrent, t, 0, false) {
             Admission::Admit | Admission::Duplicate => {}
             Admission::Blacklisted => return Err(QueryError::Blacklisted),
             Admission::RateLimited { retry_at } => {

@@ -13,6 +13,13 @@ cargo test -q --offline --workspace
 echo "== clippy (all targets, warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== live testbed: the crawler against the serving daemon over real sockets =="
+# The live_tracker example registers three torrents with a ServeDaemon,
+# seeds each from a real peer-wire peer and runs the crawler's §2 first
+# contact; it asserts every seeder is identified and exits non-zero
+# otherwise. The other examples are compiled (by clippy above), not run.
+cargo run --release --offline --example live_tracker
+
 echo "== determinism: repro --jobs 1 vs --jobs 4 (tiny scale) =="
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT

@@ -1,5 +1,5 @@
-//! Real-socket integration: the tracker server, peer-wire seeders and the
-//! live crawler, all over actual TCP on localhost.
+//! Real-socket integration: the serving daemon, peer-wire seeders and
+//! the live crawler, all over actual TCP on localhost.
 
 use btpub::crawler::live::{crawler_peer_id, first_contact};
 use btpub::proto::metainfo::MetainfoBuilder;
@@ -7,7 +7,7 @@ use btpub::proto::tracker::{AnnounceEvent, AnnounceRequest, AnnounceResponse};
 use btpub::proto::types::PeerId;
 use btpub::tracker::client;
 use btpub::tracker::livepeer::{probe_bitfield, LivePeer};
-use btpub::tracker::server::TrackerServer;
+use btpub::tracker::serve::{ServeConfig, ServeDaemon};
 
 fn seeder_announce(ih: btpub::proto::types::InfoHash, id: PeerId, port: u16) -> AnnounceRequest {
     AnnounceRequest {
@@ -25,7 +25,7 @@ fn seeder_announce(ih: btpub::proto::types::InfoHash, id: PeerId, port: u16) -> 
 
 #[test]
 fn full_live_pipeline_identifies_seeders_across_swarms() {
-    let tracker = TrackerServer::start(7).unwrap();
+    let tracker = ServeDaemon::start(ServeConfig::new(7, 2, 0)).unwrap();
     let mut seeders = Vec::new();
     let mut torrents = Vec::new();
     for i in 0..3u8 {
@@ -42,7 +42,9 @@ fn full_live_pipeline_identifies_seeders_across_swarms() {
         seeders.push(peer);
         torrents.push(m);
     }
-    assert_eq!(tracker.torrent_count(), 3);
+    let hashes: Vec<_> = torrents.iter().map(|m| m.info_hash()).collect();
+    let scrape = client::scrape(&tracker.announce_url(), &hashes).unwrap();
+    assert_eq!(scrape.files.len(), 3, "all three torrents registered");
     for (i, m) in torrents.iter().enumerate() {
         let obs = first_contact(m, 1, 20).unwrap();
         assert_eq!(obs.complete, 1, "swarm {i}");
@@ -56,7 +58,7 @@ fn full_live_pipeline_identifies_seeders_across_swarms() {
 
 #[test]
 fn tracker_interval_and_stopped_events_work_live() {
-    let tracker = TrackerServer::start(8).unwrap();
+    let tracker = ServeDaemon::start(ServeConfig::new(8, 2, 0)).unwrap();
     let m = MetainfoBuilder::new(&tracker.announce_url(), "x", 1 << 18).build();
     let ih = m.info_hash();
     tracker.register(ih);
@@ -98,7 +100,7 @@ fn tracker_interval_and_stopped_events_work_live() {
 
 #[test]
 fn unregistered_torrents_are_refused_live() {
-    let tracker = TrackerServer::start(9).unwrap();
+    let tracker = ServeDaemon::start(ServeConfig::new(9, 2, 0)).unwrap();
     let m = MetainfoBuilder::new(&tracker.announce_url(), "ghost", 1 << 18).build();
     let req = AnnounceRequest {
         info_hash: m.info_hash(),
@@ -131,7 +133,7 @@ fn live_probe_rejects_wrong_piece_count() {
 
 #[test]
 fn concurrent_live_announces_do_not_corrupt_state() {
-    let tracker = TrackerServer::start(10).unwrap();
+    let tracker = ServeDaemon::start(ServeConfig::new(10, 2, 0)).unwrap();
     let m = MetainfoBuilder::new(&tracker.announce_url(), "busy", 1 << 18).build();
     let ih = m.info_hash();
     tracker.register(ih);
