@@ -1015,6 +1015,35 @@ mod tests {
     }
 
     #[test]
+    fn forged_connection_id_rejected_for_live_torrent() {
+        // A runtime-registered torrent is no shortcut past the handshake.
+        let d = daemon(27, 1, 0);
+        let ih = InfoHash([1; 20]);
+        d.register(ih);
+        let sock = udp_socket();
+        let req = UdpRequest::Announce {
+            connection_id: 0x1111_2222_3333_4444,
+            transaction_id: 1,
+            info_hash: ih,
+            peer_id: PeerId([1; 20]),
+            downloaded: 0,
+            left: 0,
+            uploaded: 0,
+            event: AnnounceEvent::Started,
+            num_want: 10,
+            port: 1,
+        };
+        sock.send_to(&req.encode(), d.udp_addr()).unwrap();
+        let mut buf = [0u8; 512];
+        let (len, _) = sock.recv_from(&mut buf).unwrap();
+        match UdpResponse::decode(&buf[..len]).unwrap() {
+            UdpResponse::Error { message, .. } => assert!(message.contains("connection id")),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(d.plane().scrape(&ih), ScrapeEntry::default(), "nothing admitted");
+    }
+
+    #[test]
     fn http_announce_scrape_and_snapshot() {
         let d = daemon(14, 4, 4);
         let net = btpub_faults::NetConfig::loopback_test();
@@ -1139,6 +1168,38 @@ mod tests {
     }
 
     #[test]
+    fn keep_alive_session_serves_many_requests() {
+        let d = daemon(26, 2, 0);
+        let ih = InfoHash([5; 20]);
+        d.register(ih);
+        let net = btpub_faults::NetConfig::loopback_test();
+        let mut session =
+            crate::client::HttpSession::connect(&d.announce_url(), &net).unwrap();
+        // Seeder, leecher, then a scrape — all on one connection.
+        let r = session.announce(&live_announce(ih, 1, 0), "").unwrap();
+        assert!(matches!(r, AnnounceResponse::Ok { complete: 1, .. }), "{r:?}");
+        let r = session.announce(&live_announce(ih, 2, 100), "").unwrap();
+        assert!(
+            matches!(
+                r,
+                AnnounceResponse::Ok {
+                    complete: 1,
+                    incomplete: 1,
+                    ..
+                }
+            ),
+            "{r:?}"
+        );
+        let scrape = session.scrape(&[ih]).unwrap();
+        let entry = ScrapeEntry {
+            complete: 1,
+            downloaded: 0,
+            incomplete: 1,
+        };
+        assert_eq!(scrape.files, vec![(ih, entry)]);
+    }
+
+    #[test]
     fn pipelined_requests_answered_in_order() {
         let d = daemon(19, 2, 0);
         let ih = InfoHash([6; 20]);
@@ -1216,8 +1277,22 @@ mod tests {
         assert_eq!((out.seeders, out.leechers), (1, 1));
         assert_eq!(out.peers.len(), 1);
         assert_eq!(out.peers[0].port(), 6881);
+    }
+
+    #[test]
+    fn unregistered_torrent_errors() {
         // An unregistered torrent is a BEP 15 error reply.
-        let err = announce(3, 0, InfoHash([0xEE; 20])).unwrap_err();
+        let d = daemon(25, 2, 0);
+        let err = udp_client::announce(
+            d.udp_addr(),
+            InfoHash([0xEE; 20]),
+            PeerId([1; 20]),
+            1,
+            0,
+            AnnounceEvent::Started,
+            0,
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("not registered"), "{err}");
     }
 

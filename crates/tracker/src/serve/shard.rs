@@ -188,7 +188,15 @@ struct EnforceStripe {
     /// Admitted announces get the same protection from the enforcer's
     /// exact-duplicate detection; this map closes the refusal half, which
     /// is what keeps the snapshot's `counts` line retransmit-invariant.
+    /// Swallowed refusals (downtime, drops) are kept out of it.
     last_refusal: FxHashMap<(u32, u32), u64>,
+    /// Swallowed `(client, torrent, t)` already counted. A swallowed
+    /// announce gets no reply, so its sender does not wait before the
+    /// next one, and two UDP workers can admit the pair out of order: a
+    /// watermark would take the late one for a retransmit. Its class is
+    /// a pure function of `(client, torrent, t)`, so exact membership
+    /// dedups retransmits in any order. Empty under a clean profile.
+    swallowed: FxHashSet<(u32, u32, u64)>,
 }
 
 /// Most unique garbage frames remembered for retransmit dedup
@@ -257,6 +265,7 @@ impl Plane {
                 Mutex::new(EnforceStripe {
                     enf: Enforcer::serving(),
                     last_refusal: FxHashMap::default(),
+                    swallowed: FxHashSet::default(),
                 })
             })
             .collect();
@@ -449,6 +458,12 @@ impl Plane {
         let class = self.classify(&mut stripe.enf, item, registered);
         match class {
             Class::Admitted | Class::Duplicate => (class, true),
+            Class::Down | Class::Dropped => {
+                let fresh = stripe
+                    .swallowed
+                    .insert((item.client(), item.torrent(), item.t));
+                (class, fresh)
+            }
             _ => {
                 // A client's announce times never decrease, so a refusal
                 // at `t` not beyond the last recorded refusal of the same
@@ -826,6 +841,95 @@ mod tests {
         assert_eq!(out[0].class, Class::RateLimited);
         plane.apply_batch(&[item(2, 5, 1, 100, AnnounceEvent::Started, 0)], &mut out);
         assert_eq!(out[0].class, Class::Duplicate);
+    }
+
+    #[test]
+    fn announce_lifecycle() {
+        // Join, join, complete, leave — with the peers each reply would
+        // hand out along the way.
+        let plane = Plane::new(PlaneConfig::new(1, 2, 1));
+        let ih = info_hash_for(1, 0);
+        let mut out = Vec::new();
+        let mut peers = Vec::new();
+        // A leecher joins: nobody else to hand it.
+        plane.apply_batch(&[item(1, 1, 0, 100, AnnounceEvent::Started, 100)], &mut out);
+        assert_eq!(out[0].class, Class::Admitted);
+        assert_eq!((out[0].complete, out[0].incomplete), (0, 1));
+        plane.sample_peers(&ih, &peer_id_for(1), 50, &mut peers);
+        assert!(peers.is_empty(), "no *other* peers yet");
+        // A seeder joins and sees the leecher.
+        plane.apply_batch(&[item(1, 2, 0, 101, AnnounceEvent::Started, 0)], &mut out);
+        assert_eq!((out[0].complete, out[0].incomplete), (1, 1));
+        plane.sample_peers(&ih, &peer_id_for(2), 50, &mut peers);
+        assert_eq!(peers.len(), 1);
+        assert_eq!(u32::from(*peers[0].ip()), 1);
+        // The leecher completes, then leaves.
+        plane.apply_batch(&[item(1, 1, 0, 130, AnnounceEvent::Completed, 0)], &mut out);
+        assert_eq!((out[0].complete, out[0].incomplete), (2, 0));
+        assert_eq!(plane.scrape(&ih).downloaded, 1);
+        plane.apply_batch(&[item(1, 1, 0, 200, AnnounceEvent::Stopped, 0)], &mut out);
+        assert_eq!(out[0].class, Class::Admitted);
+        assert_eq!((out[0].complete, out[0].incomplete), (1, 0));
+    }
+
+    #[test]
+    fn reannounce_updates_in_place() {
+        // A regular re-announce moves the peer's `left`; it does not add
+        // a second peer.
+        let plane = Plane::new(PlaneConfig::new(3, 2, 1));
+        let mut out = Vec::new();
+        plane.apply_batch(&[item(3, 1, 0, 100, AnnounceEvent::Started, 100)], &mut out);
+        let later = 100 + crate::enforce::min_interval(SimTime(100)).secs();
+        plane.apply_batch(&[item(3, 1, 0, later, AnnounceEvent::Interval, 50)], &mut out);
+        assert_eq!(out[0].class, Class::Admitted);
+        assert_eq!((out[0].complete, out[0].incomplete), (0, 1), "still one peer");
+        let snap = plane.snapshot();
+        assert!(snap.contains("peer 1 ip=1 port=6881 left=50"), "{snap}");
+    }
+
+    #[test]
+    fn unknown_torrent_rejected() {
+        let plane = Plane::new(PlaneConfig::new(2, 2, 4));
+        let ih = info_hash_for(2, 9);
+        let mut out = Vec::new();
+        plane.apply_batch(&[item(2, 1, 9, 100, AnnounceEvent::Started, 0)], &mut out);
+        assert_eq!(out[0].class, Class::Unknown);
+        assert!(!plane.is_registered(&ih));
+        // Refused, not created: nothing to scrape, nothing admitted.
+        assert_eq!(plane.scrape(&ih), ScrapeEntry::default());
+        let c = plane.counts();
+        assert_eq!((c.admitted, c.unknown), (0, 1));
+    }
+
+    #[test]
+    fn swallowed_announces_count_once_in_any_order() {
+        // Swallowed announces get no reply, so a client's next one can
+        // reach the plane first. Arrival order must not change the
+        // count; an exact retransmit still must not add to it.
+        let profile = FaultProfile::hostile();
+        let plan = FaultPlan::new(71, profile.clone());
+        let plane = Plane::new(PlaneConfig {
+            seed: 71,
+            shards: 2,
+            torrents: 1,
+            profile,
+        });
+        // Ten dropped announces of one (client, torrent), newest first.
+        let mut dropped: Vec<AnnounceItem> = (0..2_000u64)
+            .map(|i| 100 + i * 3_600)
+            .filter(|&t| plan.tracker_down(t).is_none())
+            .filter(|&t| plan.check::<points::AnnounceDrop>(key(&[5, 0, t])).is_some())
+            .take(10)
+            .map(|t| item(71, 5, 0, t, AnnounceEvent::Interval, 1))
+            .collect();
+        dropped.reverse();
+        assert_eq!(dropped.len(), 10, "hostile profile drops announces");
+        let mut out = Vec::new();
+        for it in dropped.iter().chain(&dropped) {
+            plane.apply_batch(std::slice::from_ref(it), &mut out);
+            assert_eq!(out[0].class, Class::Dropped);
+        }
+        assert_eq!(plane.counts().dropped, 10);
     }
 
     #[test]
